@@ -6,7 +6,7 @@ kernels (3F2 on the ball, 2F2 on the plane), quadrature oracles for every
 norm claim, and the flat-curvature limit connecting the two families.
 """
 
-from . import asymptotics, bargmann, bergman, hypergeo, multiindex, quadrature, taylor
+from . import asymptotics, bargmann, bergman, hypergeo, multiindex, quadrature, spaces, taylor
 from .bargmann import BargmannDirichletSpace
 from .bergman import BergmanDirichletSpace
 from .errors import CapacityError, DivergenceError, DomainError, NonconvergenceError
@@ -36,6 +36,7 @@ __all__ = [
     "multiindex",
     "pochhammer",
     "quadrature",
+    "spaces",
     "taylor",
     "vector_norm",
 ]

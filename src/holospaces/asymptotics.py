@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import bargmann, bergman
 from .errors import DomainError
 from .hypergeo import gamma_ratio, limit_3f2_to_2f2_error
+from .taylor import inner
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def convergence_sweep(
     radii = [float(r) for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
-    t = bergman.inner(z, w)
+    t = inner(z, w)
     for r in radii:
         if abs(t) >= r * r:
             raise DomainError(
@@ -110,23 +111,3 @@ def hypergeometric_limit_sweep(
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError(f"x values must be strictly increasing, got {xs}")
     return [(x, limit_3f2_to_2f2_error(b, c, d, e, a, z, x, tol, max_terms)) for x in xs]
-
-
-CSV_HEADER = "R,Re(K_R),Im(K_R),Re(K_inf),Im(K_inf),abs_error"
-
-
-def records_to_csv(records) -> str:
-    """Serialize sweep records; header plus one row per radius."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}".format(
-                rec.radius,
-                rec.kernel_value.real,
-                rec.kernel_value.imag,
-                rec.limit_value.real,
-                rec.limit_value.imag,
-                rec.abs_error,
-            )
-        )
-    return "\n".join(lines) + "\n"

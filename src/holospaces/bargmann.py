@@ -16,25 +16,35 @@ direct Gaussian integration of the defining Sobolev norm yields, and it is the
 only choice whose basis expansion resums to the 2F2 kernel.  The variant with
 nu^m in the denominator is kept under a separate name so the quadrature
 oracles can demonstrate the difference numerically.
+
+This module holds what is particular to the plane: the space parameters with
+their kernel prefactor and 2F2 argument, and the monomial norms in both
+forms.  Norms, inner products, kernels, series oracles and ``reproduce`` are
+the shared algorithms of ``holospaces.spaces``, bound here under their usual
+names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import multiindex as mi
 from .errors import DomainError
-from .hypergeo import (
-    ComplexCompensatedSum,
-    CompensatedSum,
-    HypergeometricSpec,
-    SeriesResult,
-    eval_pfq,
+from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
+    DEFAULT_SERIES_DEGREE,
+    function_norm_sq,
+    inner_product,
+    kernel_closed,
+    kernel_closed_detail,
+    kernel_closed_from_inner,
+    kernel_series,
+    kernel_series_enumerated,
+    kernel_series_from_inner,
+    kernel_series_with_tail,
+    reproduce,
 )
-from .taylor import TaylorSeries, as_point, canonical_order, inner
-
-DEFAULT_SERIES_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,10 @@ class BargmannDirichletSpace:
     nu: float
     m: int
 
+    radius: ClassVar[float] = math.inf  # the plane is the R -> infinity limit of the ball
+    pfq_extra: ClassVar[tuple] = ()
+    series_tail_factor: ClassVar[float] = 2.0
+
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"dimension n must be a positive integer, got {self.n}")
@@ -52,6 +66,15 @@ class BargmannDirichletSpace:
             raise DomainError(f"nu must be positive, got {self.nu}")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError(f"order m must be a nonnegative integer, got {self.m}")
+
+    def monomial_norm_sq(self, p) -> float:
+        return monomial_norm_sq(self, p)
+
+    def kernel_prefactor(self) -> float:
+        return (self.nu / math.pi) ** self.n
+
+    def series_argument(self, t: complex) -> complex:
+        return self.nu * t
 
 
 def _validated(space: BargmannDirichletSpace, p) -> tuple[tuple[int, ...], int]:
@@ -67,7 +90,7 @@ def monomial_norm_sq(space: BargmannDirichletSpace, p) -> float:
     base = (math.pi / space.nu) ** space.n * float(mi.multifactorial(q))
     if k < space.m:
         return base * space.nu ** (-k)
-    return base * space.nu ** (space.m - k) * mi.falling_factorial_int(k, space.m)
+    return base * space.nu ** (space.m - k) * math.perm(k, space.m)
 
 
 def monomial_norm_sq_nu_denominator_variant(space: BargmannDirichletSpace, p) -> float:
@@ -80,175 +103,4 @@ def monomial_norm_sq_nu_denominator_variant(space: BargmannDirichletSpace, p) ->
     base = (math.pi / space.nu) ** space.n * float(mi.multifactorial(q))
     if k < space.m:
         return base * space.nu ** (-k)
-    return base * space.nu ** (-space.m - k) * mi.falling_factorial_int(k, space.m)
-
-
-def function_norm_sq(space: BargmannDirichletSpace, f: TaylorSeries) -> float:
-    """Squared norm sum_p ||z^p||^2 |a_p|^2; zero iff f is the zero series."""
-    if f.dimension != space.n:
-        raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
-    acc = CompensatedSum()
-    for p in canonical_order(f.coefficients):
-        acc.add(monomial_norm_sq(space, p) * abs(f.coefficients[p]) ** 2)
-    return acc.value
-
-
-def inner_product(space: BargmannDirichletSpace, f: TaylorSeries, g: TaylorSeries) -> complex:
-    """Sesquilinear product sum_p ||z^p||^2 a_p conj(b_p) (linear in f)."""
-    if f.dimension != space.n or g.dimension != space.n:
-        raise ValueError("series dimensions must match the space dimension")
-    acc = ComplexCompensatedSum()
-    for p in canonical_order(f.coefficients):
-        b = g.coefficients.get(p)
-        if b is not None:
-            acc.add(monomial_norm_sq(space, p) * f.coefficients[p] * b.conjugate())
-    return acc.value
-
-
-def _prefactor(space: BargmannDirichletSpace) -> float:
-    return (space.nu / math.pi) ** space.n
-
-
-def kernel_closed_detail(
-    space: BargmannDirichletSpace,
-    t: complex,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> tuple[complex, SeriesResult]:
-    """Closed-form kernel at t = <z, w>, plus the 2F2 evaluation record."""
-    t = complex(t)
-    x = space.nu * t
-    low = ComplexCompensatedSum()
-    term = 1 + 0j
-    for k in range(space.m):
-        low.add(term)
-        term = term * x / (k + 1)
-    f = eval_pfq(
-        HypergeometricSpec((1.0, 1.0), (space.m + 1.0, space.m + 1.0)), x, tol, max_terms
-    )
-    mfact = math.factorial(space.m)
-    value = _prefactor(space) * (low.value + t**space.m / (mfact * mfact) * f.value)
-    return value, f
-
-
-def kernel_closed_from_inner(
-    space: BargmannDirichletSpace,
-    t: complex,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Reproducing kernel as a function of t = <z, w>; entire, no domain cut."""
-    value, _ = kernel_closed_detail(space, t, tol, max_terms)
-    return value
-
-
-def kernel_closed(
-    space: BargmannDirichletSpace,
-    z,
-    w,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Reproducing kernel K(z, w)."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    return kernel_closed_from_inner(space, inner(zt, wt), tol, max_terms)
-
-
-def kernel_series_with_tail(
-    space: BargmannDirichletSpace,
-    t: complex,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> tuple[complex, int, float]:
-    """Degree-collapsed kernel series truncated at ``max_degree``.
-
-    Returns (value, degrees summed, tail estimate); the tail estimate is
-    |last term| * 2, conservative for the factorial decay of the terms.
-    """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    t = complex(t)
-    x = space.nu * t
-    acc = ComplexCompensatedSum()
-    term = 1 + 0j
-    last = 1.0
-    for k in range(min(space.m, max_degree + 1)):
-        acc.add(term)
-        last = abs(term)
-        term = term * x / (k + 1)
-    if max_degree >= space.m:
-        mfact = math.factorial(space.m)
-        high = t**space.m / (mfact * mfact)
-        k = space.m
-        while True:
-            acc.add(high)
-            if k == max_degree:
-                break
-            high = high * x * (k - space.m + 1) / ((k + 1) * (k + 1))
-            k += 1
-        last = abs(high)
-    return _prefactor(space) * acc.value, max_degree + 1, last * 2.0
-
-
-def kernel_series_from_inner(
-    space: BargmannDirichletSpace,
-    t: complex,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> complex:
-    value, _, _ = kernel_series_with_tail(space, t, max_degree)
-    return value
-
-
-def kernel_series(
-    space: BargmannDirichletSpace,
-    z,
-    w,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> complex:
-    """Series-oracle kernel: truncated basis sum with the degree collapse."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    return kernel_series_from_inner(space, inner(zt, wt), max_degree)
-
-
-def kernel_series_enumerated(
-    space: BargmannDirichletSpace,
-    z,
-    w,
-    max_degree: int,
-) -> complex:
-    """Second oracle: explicit sum over multi-indices, no degree collapse."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    acc = ComplexCompensatedSum()
-    for k in range(max_degree + 1):
-        for p in mi.enumerate_indices(space.n, k):
-            term = 1 + 0j
-            for zj, wj, pj in zip(zt, wt, p):
-                term *= zj**pj * wj.conjugate() ** pj
-            acc.add(term / monomial_norm_sq(space, p))
-    return acc.value
-
-
-def reproduce(
-    space: BargmannDirichletSpace,
-    f: TaylorSeries,
-    w,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Pair f with the kernel section K(., w); equals f(w) for members."""
-    if f.dimension != space.n:
-        raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
-    wt = as_point(w, space.n)
-    if f.max_degree < 0:
-        return 0j
-    coeffs = {}
-    for k in range(f.max_degree + 1):
-        for p in mi.enumerate_indices(space.n, k):
-            wp = 1 + 0j
-            for wj, pj in zip(wt, p):
-                wp *= wj**pj
-            coeffs[p] = wp.conjugate() / monomial_norm_sq(space, p)
-    section = TaylorSeries(space.n, coeffs)
-    return inner_product(space, f, section)
+    return base * space.nu ** (-space.m - k) * math.perm(k, space.m)

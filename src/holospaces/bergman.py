@@ -20,29 +20,40 @@ and the reproducing kernel collapses, via the power-sum identity, to a
 The prefactor multiplies both bracketed terms and the standalone t^m factor
 carries no R power; only this arrangement matches the monomial-norm series
 term by term (and the flat limit of the scaled spaces).
+
+This module holds what is particular to the ball: the space parameters with
+their kernel prefactor, 3F2 parameter and |t| < R^2 check, the monomial
+norms, the Gamma-route coefficient table and the evaluation bounds.  Norms,
+inner products, kernels, series oracles and ``reproduce`` are the shared
+algorithms of ``holospaces.spaces``, bound here under their usual names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import multiindex as mi
 from .errors import DomainError
-from .hypergeo import (
-    ComplexCompensatedSum,
-    CompensatedSum,
-    HypergeometricSpec,
-    SeriesResult,
-    eval_pfq,
-    gamma_ratio,
+from .hypergeo import CompensatedSum, gamma_ratio
+from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
+    DEFAULT_SERIES_DEGREE,
+    function_norm_sq,
+    inner_product,
+    kernel_closed,
+    kernel_closed_detail,
+    kernel_closed_from_inner,
+    kernel_series,
+    kernel_series_enumerated,
+    kernel_series_from_inner,
+    kernel_series_with_tail,
+    reproduce,
 )
-from .taylor import TaylorSeries, as_point, canonical_order, inner, vector_norm
+from .taylor import as_point, inner, vector_norm
 
 # math.gamma overflows shortly above this; switch to log-space ratios.
 _GAMMA_DIRECT_MAX = 170.0
-
-DEFAULT_SERIES_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,8 @@ class BergmanDirichletSpace:
     m: int
     radius: float = 1.0
 
+    series_tail_factor: ClassVar[float] = 5.0
+
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"dimension n must be a positive integer, got {self.n}")
@@ -63,6 +76,26 @@ class BergmanDirichletSpace:
             raise DomainError(f"order m must be a nonnegative integer, got {self.m}")
         if not self.radius > 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
+
+    @property
+    def pfq_extra(self) -> tuple:
+        return (self.alpha + self.n + 1.0,)
+
+    def monomial_norm_sq(self, p) -> float:
+        return monomial_norm_sq(self, p)
+
+    def kernel_prefactor(self) -> float:
+        return gamma_ratio(self.alpha + self.n + 1.0, self.alpha + 1.0) / (
+            math.pi**self.n * self.radius ** (2 * self.n)
+        )
+
+    def series_argument(self, t: complex) -> complex:
+        r2 = self.radius * self.radius
+        if abs(t) >= r2:
+            raise DomainError(
+                f"kernel argument |<z,w>| = {abs(t):.6g} must be < R^2 = {r2:.6g}"
+            )
+        return t / r2
 
 
 def _coeff_parts(space: BergmanDirichletSpace, p) -> tuple[int, float, int]:
@@ -76,7 +109,7 @@ def _coeff_parts(space: BergmanDirichletSpace, p) -> tuple[int, float, int]:
         arg = k + space.alpha + space.n + 1
         r_exp = 2 * space.n + 2 * k
     else:
-        num = mi.multifactorial(q) * mi.falling_factorial_int(k, space.m)
+        num = mi.multifactorial(q) * math.perm(k, space.m)
         arg = k - space.m + space.alpha + space.n + 1
         r_exp = 2 * space.n + 2 * (k - space.m)
     return num, arg, r_exp
@@ -96,200 +129,6 @@ def monomial_norm_sq(space: BergmanDirichletSpace, p) -> float:
     num, arg, r_exp = _coeff_parts(space, p)
     ratio = gamma_ratio(space.alpha + 1.0, arg)  # 1/Gamma stays finite for large alpha
     return math.pi**space.n * float(num) * ratio * space.radius**r_exp
-
-
-def function_norm_sq(space: BergmanDirichletSpace, f: TaylorSeries) -> float:
-    """Squared norm sum_p ||z^p||^2 |a_p|^2; zero iff f is the zero series."""
-    if f.dimension != space.n:
-        raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
-    acc = CompensatedSum()
-    for p in canonical_order(f.coefficients):
-        acc.add(monomial_norm_sq(space, p) * abs(f.coefficients[p]) ** 2)
-    return acc.value
-
-
-def inner_product(space: BergmanDirichletSpace, f: TaylorSeries, g: TaylorSeries) -> complex:
-    """Sesquilinear product sum_p ||z^p||^2 a_p conj(b_p) (linear in f)."""
-    if f.dimension != space.n or g.dimension != space.n:
-        raise ValueError("series dimensions must match the space dimension")
-    acc = ComplexCompensatedSum()
-    for p in canonical_order(f.coefficients):
-        b = g.coefficients.get(p)
-        if b is not None:
-            acc.add(monomial_norm_sq(space, p) * f.coefficients[p] * b.conjugate())
-    return acc.value
-
-
-def _check_kernel_domain(space: BergmanDirichletSpace, t: complex) -> complex:
-    t = complex(t)
-    r2 = space.radius * space.radius
-    if abs(t) >= r2:
-        raise DomainError(
-            f"kernel argument |<z,w>| = {abs(t):.6g} must be < R^2 = {r2:.6g}"
-        )
-    return t
-
-
-def _prefactor(space: BergmanDirichletSpace) -> float:
-    return gamma_ratio(space.alpha + space.n + 1.0, space.alpha + 1.0) / (
-        math.pi**space.n * space.radius ** (2 * space.n)
-    )
-
-
-def kernel_closed_detail(
-    space: BergmanDirichletSpace,
-    t: complex,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> tuple[complex, SeriesResult]:
-    """Closed-form kernel at t = <z, w>, plus the 3F2 evaluation record."""
-    t = _check_kernel_domain(space, t)
-    a3 = space.alpha + space.n + 1.0
-    u = t / (space.radius * space.radius)
-    low = ComplexCompensatedSum()
-    term = 1 + 0j
-    for k in range(space.m):
-        low.add(term)
-        term = term * ((a3 + k) / (k + 1)) * u
-    f = eval_pfq(HypergeometricSpec((1.0, 1.0, a3), (space.m + 1.0, space.m + 1.0)), u, tol, max_terms)
-    mfact = math.factorial(space.m)
-    value = _prefactor(space) * (low.value + t**space.m / (mfact * mfact) * f.value)
-    return value, f
-
-
-def kernel_closed_from_inner(
-    space: BergmanDirichletSpace,
-    t: complex,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Reproducing kernel as a function of the Hermitian product t = <z, w>."""
-    value, _ = kernel_closed_detail(space, t, tol, max_terms)
-    return value
-
-
-def kernel_closed(
-    space: BergmanDirichletSpace,
-    z,
-    w,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Reproducing kernel K(z, w); requires |<z, w>| < R^2."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    return kernel_closed_from_inner(space, inner(zt, wt), tol, max_terms)
-
-
-def kernel_series_with_tail(
-    space: BergmanDirichletSpace,
-    t: complex,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> tuple[complex, int, float]:
-    """Degree-collapsed kernel series truncated at ``max_degree``.
-
-    Returns (value, degrees summed, tail estimate).  Terms are generated by
-    recurrence so that large alpha never overflows, and accumulated in
-    ascending degree with compensation.  The tail estimate is the last term
-    times 1/(1 - 0.8), matching the geometric decay on |t|/R^2 <= 0.8.
-    """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    t = _check_kernel_domain(space, t)
-    a3 = space.alpha + space.n + 1.0
-    u = t / (space.radius * space.radius)
-    acc = ComplexCompensatedSum()
-    term = 1 + 0j
-    last = 1.0
-    for k in range(min(space.m, max_degree + 1)):
-        acc.add(term)
-        last = abs(term)
-        term = term * ((a3 + k) / (k + 1)) * u
-    if max_degree >= space.m:
-        mfact = math.factorial(space.m)
-        high = t**space.m / (mfact * mfact)
-        k = space.m
-        while True:
-            acc.add(high)
-            if k == max_degree:
-                break
-            high = high * ((a3 + (k - space.m)) * (k - space.m + 1) / ((k + 1) * (k + 1))) * u
-            k += 1
-        last = abs(high)
-    tail = last * 5.0
-    return _prefactor(space) * acc.value, max_degree + 1, tail
-
-
-def kernel_series_from_inner(
-    space: BergmanDirichletSpace,
-    t: complex,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> complex:
-    value, _, _ = kernel_series_with_tail(space, t, max_degree)
-    return value
-
-
-def kernel_series(
-    space: BergmanDirichletSpace,
-    z,
-    w,
-    max_degree: int = DEFAULT_SERIES_DEGREE,
-) -> complex:
-    """Series-oracle kernel: truncated basis sum with the degree collapse."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    return kernel_series_from_inner(space, inner(zt, wt), max_degree)
-
-
-def kernel_series_enumerated(
-    space: BergmanDirichletSpace,
-    z,
-    w,
-    max_degree: int,
-) -> complex:
-    """Second oracle: explicit sum over multi-indices, no degree collapse."""
-    zt = as_point(z, space.n)
-    wt = as_point(w, space.n)
-    acc = ComplexCompensatedSum()
-    for k in range(max_degree + 1):
-        for p in mi.enumerate_indices(space.n, k):
-            term = 1 + 0j
-            for zj, wj, pj in zip(zt, wt, p):
-                term *= zj**pj * wj.conjugate() ** pj
-            acc.add(term / monomial_norm_sq(space, p))
-    return acc.value
-
-
-def reproduce(
-    space: BergmanDirichletSpace,
-    f: TaylorSeries,
-    w,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
-    """Pair f with the kernel section K(., w); equals f(w) for members.
-
-    The kernel section is truncated at deg(f), which is exact for
-    polynomials because higher basis terms are orthogonal to f.
-    """
-    if f.dimension != space.n:
-        raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
-    wt = as_point(w, space.n)
-    if vector_norm(wt) >= space.radius:
-        raise DomainError(
-            f"evaluation point |w| = {vector_norm(wt):.6g} must be < R = {space.radius:.6g}"
-        )
-    if f.max_degree < 0:
-        return 0j
-    coeffs = {}
-    for k in range(f.max_degree + 1):
-        for p in mi.enumerate_indices(space.n, k):
-            wp = 1 + 0j
-            for wj, pj in zip(wt, p):
-                wp *= wj**pj
-            coeffs[p] = wp.conjugate() / monomial_norm_sq(space, p)
-    section = TaylorSeries(space.n, coeffs)
-    return inner_product(space, f, section)
 
 
 def pointwise_bound(space: BergmanDirichletSpace, z) -> float:

@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, bargmann, bergman
+from . import asymptotics, bargmann, bergman, spaces
 from . import multiindex as mi
 from . import quadrature
 from .errors import DivergenceError, DomainError, NonconvergenceError
-from .taylor import TaylorSeries
+from .taylor import TaylorSeries, as_point, inner
 
 _SOBOLEV_SEED = 20260809
 
@@ -60,10 +60,6 @@ def _parse_t(text: str) -> complex:
     raise ValueError(f"--t expects 're' or 're,im', got {text!r}")
 
 
-def _parse_point(text: str) -> tuple:
-    return tuple(complex(part) for part in text.split(","))
-
-
 def _build_space(args):
     if args.space == "ball":
         if args.alpha is None:
@@ -95,31 +91,17 @@ def _resolve_inner(args) -> complex:
         return _parse_t(args.t)
     if args.z is None or args.w is None:
         raise ValueError("--z and --w must be given together")
-    z = _parse_point(args.z)
-    w = _parse_point(args.w)
-    if len(z) != args.n or len(w) != args.n:
-        raise ValueError(f"points must have {args.n} components")
-    return sum(zj * wj.conjugate() for zj, wj in zip(z, w))
+    return inner(as_point(args.z.split(","), args.n), as_point(args.w.split(","), args.n))
 
 
 def cmd_kernel(args) -> int:
     space = _build_space(args)
     t = _resolve_inner(args)
     if args.method == "closed":
-        if args.space == "ball":
-            value, detail = bergman.kernel_closed_detail(space, t, args.tol, args.max_terms)
-        else:
-            value, detail = bargmann.kernel_closed_detail(space, t, args.tol, args.max_terms)
+        value, detail = spaces.kernel_closed_detail(space, t, args.tol, args.max_terms)
         terms_used, estimate = detail.terms_used, detail.error_estimate
     else:
-        if args.space == "ball":
-            value, terms_used, estimate = bergman.kernel_series_with_tail(
-                space, t, args.max_degree
-            )
-        else:
-            value, terms_used, estimate = bargmann.kernel_series_with_tail(
-                space, t, args.max_degree
-            )
+        value, terms_used, estimate = spaces.kernel_series_with_tail(space, t, args.max_degree)
     meta = _space_meta(args)
     meta.update(
         command="kernel",
@@ -381,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--z", default=None, help="point as comma-separated complex components")
     kernel.add_argument("--w", default=None, help="point as comma-separated complex components")
     kernel.add_argument("--method", choices=("closed", "series"), default="closed")
-    kernel.add_argument("--max-degree", type=int, default=bergman.DEFAULT_SERIES_DEGREE)
+    kernel.add_argument("--max-degree", type=int, default=spaces.DEFAULT_SERIES_DEGREE)
     kernel.add_argument("--tol", type=float, default=1e-14)
     kernel.add_argument("--max-terms", type=int, default=10000)
     _add_output_flags(kernel)

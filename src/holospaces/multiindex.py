@@ -69,11 +69,6 @@ def falling_factorial(x: float, m: int) -> float:
     return out
 
 
-def falling_factorial_int(k: int, m: int) -> int:
-    """k!/(k-m)! as an exact integer, for integers k >= m >= 0."""
-    return math.perm(k, m)
-
-
 def snomial_identity_residual(z1: float, z2: float, k: int) -> float:
     """Gap between the two sides of the split falling-factorial expansion.
 

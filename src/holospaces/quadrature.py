@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
-from . import bargmann, bergman
+from . import bergman
 from . import multiindex as mi
 from .errors import CapacityError
+from .spaces import function_norm_sq
 from .taylor import TaylorSeries, canonical_order, monomial
 
 DEFAULT_CAPACITY = 16
@@ -249,26 +250,25 @@ def _cached_gaussian_grid(n: int, capacity: int) -> QuadratureGrid:
     return QuadratureGrid.for_gaussian(n, capacity)
 
 
+def _rule(space):
+    """Cached grid builder (by capacity) and weighted L^2 integrator
+    ``(integrand, grid, degree=...)`` for the space's weight."""
+    if isinstance(space, bergman.BergmanDirichletSpace):
+        return (partial(_cached_ball_grid, space.n, space.alpha),
+                partial(integrate_ball, space.n, space.alpha, radius=space.radius))
+    return partial(_cached_gaussian_grid, space.n), partial(integrate_gaussian, space.n, space.nu)
+
+
 def default_grid(space, capacity: int = DEFAULT_CAPACITY) -> QuadratureGrid:
     """Grid matching the space's weight; cached across calls."""
-    if isinstance(space, bergman.BergmanDirichletSpace):
-        return _cached_ball_grid(space.n, space.alpha, capacity)
-    if isinstance(space, bargmann.BargmannDirichletSpace):
-        return _cached_gaussian_grid(space.n, capacity)
-    raise TypeError(f"unsupported space type: {type(space).__name__}")
+    build_grid, _ = _rule(space)
+    return build_grid(capacity)
 
 
 def _weighted_integral(space, f: TaylorSeries, g: TaylorSeries, grid: QuadratureGrid) -> complex:
     """<f, g> in the plain weighted L^2 sense (no derivative terms)."""
-    if isinstance(space, bergman.BergmanDirichletSpace):
-        return integrate_ball(
-            space.n, space.alpha, series_pair_product(f, g), grid,
-            radius=space.radius, degree=max(f.max_degree, g.max_degree, 0),
-        )
-    return integrate_gaussian(
-        space.n, space.nu, series_pair_product(f, g), grid,
-        degree=max(f.max_degree, g.max_degree, 0),
-    )
+    _, integrate = _rule(space)
+    return integrate(series_pair_product(f, g), grid, degree=max(f.max_degree, g.max_degree, 0))
 
 
 def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
@@ -309,10 +309,7 @@ def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
     phi = monomial(q)
     quad_value = sobolev_inner_quadrature(space, phi, phi, grid).real
     if formula is None:
-        if isinstance(space, bergman.BergmanDirichletSpace):
-            formula = bergman.monomial_norm_sq(space, q)
-        else:
-            formula = bargmann.monomial_norm_sq(space, q)
+        formula = space.monomial_norm_sq(q)
     return abs(quad_value - formula) / formula
 
 
@@ -330,10 +327,7 @@ def verify_orthogonality(space, p, q, grid: QuadratureGrid | None = None) -> flo
         grid = default_grid(space)
     _check_capacity(grid, max(mi.degree(pt), mi.degree(qt)))
     cross = sobolev_inner_quadrature(space, monomial(pt), monomial(qt), grid)
-    if isinstance(space, bergman.BergmanDirichletSpace):
-        norms = bergman.monomial_norm_sq(space, pt) * bergman.monomial_norm_sq(space, qt)
-    else:
-        norms = bargmann.monomial_norm_sq(space, pt) * bargmann.monomial_norm_sq(space, qt)
+    norms = space.monomial_norm_sq(pt) * space.monomial_norm_sq(qt)
     return abs(cross) / math.sqrt(norms)
 
 
@@ -344,10 +338,7 @@ def verify_sobolev_norm(space, f: TaylorSeries, grid: QuadratureGrid | None = No
         grid = default_grid(space)
     _check_capacity(grid, max(f.max_degree, 0))
     quad_value = sobolev_inner_quadrature(space, f, f, grid).real
-    if isinstance(space, bergman.BergmanDirichletSpace):
-        formula = bergman.function_norm_sq(space, f)
-    else:
-        formula = bargmann.function_norm_sq(space, f)
+    formula = function_norm_sq(space, f)
     if formula == 0.0:
         return abs(quad_value)
     return abs(quad_value - formula) / formula

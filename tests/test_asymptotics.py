@@ -89,18 +89,3 @@ def test_hypergeometric_limit_sweep_decay_rate():
     assert errors[0] > errors[1] > errors[2]
     assert 7.0 <= errors[0] / errors[1] <= 13.0
     assert 7.0 <= errors[1] / errors[2] <= 13.0
-
-
-def test_records_to_csv_layout():
-    records = asymptotics.convergence_sweep(
-        1.0, 1, 2, (0.25, 0.0), (1.0, 0.0), [5.0, 10.0]
-    )
-    text = asymptotics.records_to_csv(records)
-    lines = text.strip().split("\n")
-    assert lines[0] == "R,Re(K_R),Im(K_R),Re(K_inf),Im(K_inf),abs_error"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 5.0
-    assert float(first[5]) == records[0].abs_error
-    # byte-identical re-serialization
-    assert text == asymptotics.records_to_csv(records)

@@ -80,6 +80,11 @@ def test_kernel_flag_validation_exit_codes(capsys):
     )
     assert code == 2
     assert "R^2" in err
+    code, _, err = _run(
+        capsys, ["kernel", "--space", "ball", "--alpha", "0", "--m", "0", "--t", "nan"]
+    )
+    assert code == 2
+    assert "must be finite" in err
     code, _, err = _run(capsys, ["kernel", "--space", "fock", "--m", "0", "--t", "0.5"])
     assert code == 2
     assert "nu" in err

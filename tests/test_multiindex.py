@@ -71,7 +71,6 @@ def test_falling_factorial_matches_factorial_ratio(k, m):
     if m > k:
         return
     assert mi.falling_factorial(k, m) == math.factorial(k) // math.factorial(k - m)
-    assert mi.falling_factorial_int(k, m) == math.factorial(k) // math.factorial(k - m)
 
 
 def test_snomial_identity_trivial_cases():
