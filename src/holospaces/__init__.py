@@ -6,7 +6,7 @@ kernels (3F2 on the ball, 2F2 on the plane), quadrature oracles for every
 norm claim, and the flat-curvature limit connecting the two families.
 """
 
-from . import asymptotics, bargmann, bergman, hypergeo, multiindex, quadrature, spaces, taylor
+from . import asymptotics, bargmann, bergman, hypergeo, multiindex, spaces, taylor
 from .bargmann import BargmannDirichletSpace
 from .bergman import BergmanDirichletSpace
 from .errors import CapacityError, DivergenceError, DomainError, NonconvergenceError
@@ -40,3 +40,18 @@ __all__ = [
     "taylor",
     "vector_norm",
 ]
+
+
+# quadrature is imported on first access: it loads numpy and scipy.special,
+# which would otherwise be most of the start-up of every kernel, norms or
+# sweep call.
+def __getattr__(name):
+    if name == "quadrature":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.quadrature")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"quadrature"})

@@ -78,9 +78,7 @@ def snomial_identity_residual(z1: float, z2: float, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    lhs = 1.0
-    for j in range(k):
-        lhs *= z1 + z2 - j
+    lhs = falling_factorial(z1 + z2, k)
     acc = 0.0
     for p1, p2 in enumerate_indices(2, k):
         acc += falling_factorial(z1, p1) * falling_factorial(z2, p2) / multifactorial((p1, p2))

@@ -230,7 +230,7 @@ def reproduce(
     if f.dimension != space.n:
         raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
     wt = as_point(w, space.n)
-    # the plane (R = inf) needs no check, and vector_norm overflows beyond |w| ~ 1e154
+    # the plane (R = inf) has no boundary; there vector_norm may be inf (|w| > 1.8e308)
     if space.radius < math.inf and vector_norm(wt) >= space.radius:
         raise DomainError(
             f"evaluation point |w| = {vector_norm(wt):.6g} must be < R = {space.radius:.6g}"

@@ -37,8 +37,17 @@ def inner(z, w) -> complex:
 
 
 def vector_norm(z) -> float:
-    """Euclidean norm |z| = sqrt(<z, z>)."""
-    return math.sqrt(sum(abs(c) ** 2 for c in as_point(z)))
+    """Euclidean norm |z| = sqrt(<z, z>); inf only when |z| exceeds the float range."""
+    pt = as_point(z)
+    try:
+        sq = sum(abs(c) ** 2 for c in pt)
+    except OverflowError:
+        sq = math.inf
+    if sq < math.inf:
+        return math.sqrt(sq)
+    # |c|^2 leaves the float range (components beyond about 1e154): hypot
+    # scales instead of squaring
+    return math.hypot(*(x for c in pt for x in (c.real, c.imag)))
 
 
 def canonical_order(keys):

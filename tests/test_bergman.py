@@ -203,6 +203,16 @@ def test_reproduce_domain_guard():
         bergman.reproduce(space, monomial((1, 0)), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("w", [(1e200, 0.0), (0.0, 1e300 + 1e300j)], ids=["1e200", "1e300"])
+def test_far_point_is_a_domain_error(w):
+    # |w|^2 overflows a float here; the guard must still see |w| >= R
+    space = bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=1)
+    with pytest.raises(DomainError, match="must be < R"):
+        bergman.reproduce(space, monomial((1, 0)), w)
+    with pytest.raises(DomainError, match="must be < R"):
+        bergman.pointwise_bound(space, w)
+
+
 def test_pointwise_bound_origin():
     space = bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=2)
     expected = math.sqrt(gamma_ratio(3.5, 1.5) / math.pi**2)

@@ -24,6 +24,13 @@ def test_vector_norm():
     assert vector_norm((3.0, 4j)) == pytest.approx(5.0)
 
 
+def test_vector_norm_beyond_squared_range():
+    assert vector_norm((1e200, 0.0)) == 1e200
+    assert vector_norm((3e200, 4e200j)) == pytest.approx(5e200, rel=1e-15)
+    assert vector_norm((1.3e154, 1.3e154)) == pytest.approx(1.3e154 * math.sqrt(2), rel=1e-15)
+    assert vector_norm((1.7e308, 1.7e308j)) == math.inf
+
+
 def test_as_point_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_point((float("inf"), 0.0))
