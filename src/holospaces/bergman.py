@@ -50,7 +50,7 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_with_tail,
     reproduce,
 )
-from .taylor import as_point, inner, vector_norm
+from .taylor import as_point, point_inner, vector_norm
 
 # math.gamma overflows shortly above this; switch to log-space ratios.
 _GAMMA_DIRECT_MAX = 170.0
@@ -138,7 +138,7 @@ def pointwise_bound(space: BergmanDirichletSpace, z) -> float:
         raise DomainError(
             f"point |z| = {vector_norm(zt):.6g} must be < R = {space.radius:.6g}"
         )
-    value = kernel_closed_from_inner(space, inner(zt, zt))
+    value = kernel_closed_from_inner(space, point_inner(zt, zt))
     return math.sqrt(value.real)
 
 

@@ -20,7 +20,7 @@ import sys
 from . import asymptotics, bargmann, bergman, spaces
 from . import multiindex as mi
 from .errors import DivergenceError, DomainError, NonconvergenceError
-from .taylor import TaylorSeries, as_point, inner
+from .taylor import TaylorSeries, as_point, point_inner
 
 _SOBOLEV_SEED = 20260809
 
@@ -92,7 +92,7 @@ def _resolve_inner(args) -> complex:
         return _parse_t(args.t)
     if args.z is None or args.w is None:
         raise ValueError("--z and --w must be given together")
-    return inner(as_point(args.z.split(","), args.n), as_point(args.w.split(","), args.n))
+    return point_inner(as_point(args.z.split(","), args.n), as_point(args.w.split(","), args.n))
 
 
 def cmd_kernel(args) -> int:

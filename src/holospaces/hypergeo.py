@@ -7,9 +7,13 @@ evaluated by the term recurrence
 
 which never forms a Pochhammer symbol in isolation and therefore stays finite
 even when one numerator parameter is of order 1e4 (the scaled-curvature
-regime).  Gamma ratios are likewise never computed through raw Gamma: an
-integer parameter offset uses the exact product recurrence and everything
-else goes through a cancellation-free Stirling difference.
+regime).  The terms are summed with the Neumaier compensation of
+``CompensatedSum``, applied to the real and imaginary parts; ``eval_pfq``
+inlines those float operations, in the same order, into its term loop, so
+that a series of thousands of terms makes no per-term method calls.  Gamma
+ratios are likewise never computed through raw Gamma: an integer parameter
+offset uses the exact product recurrence and everything else goes through a
+cancellation-free Stirling difference.
 """
 
 from __future__ import annotations
@@ -190,6 +194,16 @@ def eval_pfq(
     Raises DivergenceError when P = Q + 1 and |z| >= 1, and
     NonconvergenceError (carrying the partial result) if the stop rule is not
     met within ``max_terms`` terms.
+
+    The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
+    inlined, and the term ratio of the kernels' (3; 2) and (2; 2) shapes is
+    unrolled in the generic loop's left-to-right order.  Before the exact
+    stop test, |t_k| > 2 tol (|Re s| + |Im s|) rules a term out cheaply.  It
+    cannot change the decision: the computed |s| = hypot(Re s, Im s) is at
+    most twice the rounded |Re s| + |Im s| (a factor of 1 would not do, as
+    hypot can round one ulp above it), and a rounded product keeps the
+    order of its exact values, so such a term fails the exact test too.  A
+    NaN or infinite bound falls through to the exact test.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -203,37 +217,69 @@ def eval_pfq(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
 
-    acc = ComplexCompensatedSum()
+    if len(num) == 3 and len(den) == 2:
+        shape = 3
+        a0, a1, a2 = num
+        b0, b1 = den
+    elif len(num) == 2 and len(den) == 2:
+        shape = 2
+        a0, a1 = num
+        b0, b1 = den
+    else:
+        shape = 0
+    cutoff = 2.0 * tol
+    # Neumaier sums of the real and imaginary parts, as in CompensatedSum,
+    # after adding the first term 1
+    re_s, re_c, im_s, im_c = 1.0, 0.0, 0.0, 0.0
     term = 1 + 0j
-    acc.add(term)
-    terms_used = 1
     small_streak = 0
-    k = 0
-    while terms_used < max_terms:
-        ratio = 1.0
-        for a in num:
-            ratio *= a + k
-        for b in den:
-            ratio /= b + k
-        term = term * (ratio / (k + 1)) * z
-        acc.add(term)
-        terms_used += 1
+    k = 0  # the term just added is t_k; k + 1 terms are summed
+    while True:
+        # the factor (a1+k)...(aP+k) / (b1+k)...(bQ+k), left to right
+        if shape == 3:
+            ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
+        elif shape == 2:
+            ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
+        else:
+            ratio = 1.0
+            for a in num:
+                ratio *= a + k
+            for b in den:
+                ratio /= b + k
+        nxt = term * (ratio / (k + 1)) * z
+        if small_streak >= _CONSECUTIVE_SMALL:
+            return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
+        if k + 1 >= max_terms:
+            break
+        term = nxt
         k += 1
-        if abs(term) <= tol * abs(acc.value):
+        x = term.real
+        s = re_s + x
+        if abs(re_s) >= abs(x):
+            re_c += (re_s - s) + x
+        else:
+            re_c += (x - s) + re_s
+        re_s = s
+        x = term.imag
+        s = im_s + x
+        if abs(im_s) >= abs(x):
+            im_c += (im_s - s) + x
+        else:
+            im_c += (x - s) + im_s
+        im_s = s
+        size = abs(term)
+        re = re_s + re_c
+        im = im_s + im_c
+        # the cheap pre-check of the docstring; the exact test alone decides
+        if size > cutoff * (abs(re) + abs(im)):
+            small_streak = 0
+        elif size <= tol * abs(complex(re, im)):
             small_streak += 1
-            if small_streak >= _CONSECUTIVE_SMALL:
-                ratio = 1.0
-                for a in num:
-                    ratio *= a + k
-                for b in den:
-                    ratio /= b + k
-                neglected = abs(term * (ratio / (k + 1)) * z)
-                return SeriesResult(acc.value, terms_used, neglected)
         else:
             small_streak = 0
-    partial = SeriesResult(acc.value, terms_used, abs(term))
+    partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
     raise NonconvergenceError(
-        f"pFq stop rule not met after {terms_used} terms (|last term| = {abs(term):.3g})",
+        f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
         partial=partial,
     )
 

@@ -17,6 +17,7 @@ A space supplies what differs (see ``Space``); everything here is generic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Protocol
 
@@ -29,7 +30,7 @@ from .hypergeo import (
     SeriesResult,
     eval_pfq,
 )
-from .taylor import TaylorSeries, as_point, canonical_order, inner, vector_norm
+from .taylor import TaylorSeries, as_point, canonical_order, point_inner, vector_norm
 
 DEFAULT_SERIES_DEGREE = 200
 
@@ -58,16 +59,62 @@ def _argument(space: Space, t) -> tuple[complex, complex]:
     return t, space.series_argument(t)
 
 
-def _step(extra: tuple, x: complex):
-    """Term recurrence c -> c * prod(a + j) * num / den * x of the kernel series.
+def _degree_sum(
+    space: Space, t: complex, x: complex, max_degree: int, *, low_moduli: bool
+) -> tuple[complex, float]:
+    """Kernel series without the prefactor over degrees 0..max_degree, and |last term|.
 
-    Each family keeps the multiply order it was first written in, so that
-    its values stay the same to the last bit.
+    Degree k < m steps from the one below by c -> c * (a + k - 1) * x / k,
+    degree m is t^m/(m!)^2, and degree k > m steps by
+    c -> c * (a + j) * (j + 1) / k^2 * x with j = k - 1 - m; the factor
+    (a + ...) is absent on the plane.  Each family keeps the multiply order
+    it was first written in, so that its values stay the same to the last
+    bit.  The terms are summed in ascending degree with the Neumaier
+    compensation of ``hypergeo.CompensatedSum``, inlined per component.
+    ``low_moduli`` takes |c_k| of every degree below m, as the series
+    oracle always has, so that a term with finite parts but an overflowing
+    modulus raises OverflowError there; the closed kernel never took them.
     """
+    extra = space.pfq_extra
     if extra:
         (a,) = extra
-        return lambda term, j, num, den: term * ((a + j) * num / den) * x
-    return lambda term, j, num, den: term * x * num / den
+    m = space.m
+    re_s = re_c = im_s = im_c = 0.0
+    term = 1 + 0j
+    last = 1.0
+    for k in range(max_degree + 1):
+        if k == m:
+            mfact = math.factorial(m)
+            term = t**m / (mfact * mfact)
+        elif k:
+            if k < m:
+                j, num, den = k - 1, 1, k
+            else:
+                j = k - 1 - m
+                num, den = j + 1, k * k
+            if extra:
+                term = term * ((a + j) * num / den) * x
+            else:
+                term = term * x * num / den
+        v = term.real
+        s = re_s + v
+        if abs(re_s) >= abs(v):
+            re_c += (re_s - s) + v
+        else:
+            re_c += (v - s) + re_s
+        re_s = s
+        v = term.imag
+        s = im_s + v
+        if abs(im_s) >= abs(v):
+            im_c += (im_s - s) + v
+        else:
+            im_c += (v - s) + im_s
+        im_s = s
+        if low_moduli and k < m:
+            last = abs(term)
+    if max_degree >= m:
+        last = abs(term)
+    return complex(re_s + re_c, im_s + im_c), last
 
 
 def function_norm_sq(space: Space, f: TaylorSeries) -> float:
@@ -92,6 +139,12 @@ def inner_product(space: Space, f: TaylorSeries, g: TaylorSeries) -> complex:
     return acc.value
 
 
+@functools.lru_cache(maxsize=256)
+def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
+    """The kernel's pFq parameters (1, 1, *extra; m+1, m+1), built once per shape."""
+    return HypergeometricSpec((1.0, 1.0, *extra), (m + 1.0, m + 1.0))
+
+
 def kernel_closed_detail(
     space: Space,
     t: complex,
@@ -100,17 +153,10 @@ def kernel_closed_detail(
 ) -> tuple[complex, SeriesResult]:
     """Closed-form kernel at t = <z, w>, plus the pFq evaluation record."""
     t, x = _argument(space, t)
-    extra = space.pfq_extra
-    step = _step(extra, x)
-    low = ComplexCompensatedSum()
-    term = 1 + 0j
-    for k in range(space.m):
-        low.add(term)
-        term = step(term, k, 1, k + 1)
-    spec = HypergeometricSpec((1.0, 1.0, *extra), (space.m + 1.0, space.m + 1.0))
-    f = eval_pfq(spec, x, tol, max_terms)
+    low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
+    f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
     mfact = math.factorial(space.m)
-    value = space.kernel_prefactor() * (low.value + t**space.m / (mfact * mfact) * f.value)
+    value = space.kernel_prefactor() * (low + t**space.m / (mfact * mfact) * f.value)
     return value, f
 
 
@@ -135,7 +181,7 @@ def kernel_closed(
     """Reproducing kernel K(z, w); on the ball requires |<z, w>| < R^2."""
     zt = as_point(z, space.n)
     wt = as_point(w, space.n)
-    return kernel_closed_from_inner(space, inner(zt, wt), tol, max_terms)
+    return kernel_closed_from_inner(space, point_inner(zt, wt), tol, max_terms)
 
 
 def kernel_series_with_tail(
@@ -155,24 +201,8 @@ def kernel_series_with_tail(
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     t, x = _argument(space, t)
-    step = _step(space.pfq_extra, x)
-    m = space.m
-    acc = ComplexCompensatedSum()
-    term = 1 + 0j
-    last = 1.0
-    for k in range(min(m, max_degree + 1)):
-        acc.add(term)
-        last = abs(term)
-        term = step(term, k, 1, k + 1)
-    if max_degree >= m:
-        mfact = math.factorial(m)
-        high = t**m / (mfact * mfact)
-        acc.add(high)
-        for k in range(m, max_degree):
-            high = step(high, k - m, k - m + 1, (k + 1) * (k + 1))
-            acc.add(high)
-        last = abs(high)
-    return space.kernel_prefactor() * acc.value, max_degree + 1, last * space.series_tail_factor
+    value, last = _degree_sum(space, t, x, max_degree, low_moduli=True)
+    return space.kernel_prefactor() * value, max_degree + 1, last * space.series_tail_factor
 
 
 def kernel_series_from_inner(
@@ -193,7 +223,7 @@ def kernel_series(
     """Series-oracle kernel: truncated basis sum with the degree collapse."""
     zt = as_point(z, space.n)
     wt = as_point(w, space.n)
-    return kernel_series_from_inner(space, inner(zt, wt), max_degree)
+    return kernel_series_from_inner(space, point_inner(zt, wt), max_degree)
 
 
 def kernel_series_enumerated(

@@ -32,7 +32,11 @@ def as_point(z, dimension: int | None = None) -> tuple[complex, ...]:
 def inner(z, w) -> complex:
     """Hermitian inner product sum_j z_j * conj(w_j)."""
     zt = as_point(z)
-    wt = as_point(w, len(zt))
+    return point_inner(zt, as_point(w, len(zt)))
+
+
+def point_inner(zt: tuple, wt: tuple) -> complex:
+    """``inner`` of two points already through ``as_point``, of one length."""
     return sum((zj * wj.conjugate() for zj, wj in zip(zt, wt)), 0j)
 
 

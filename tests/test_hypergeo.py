@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -9,7 +11,9 @@ from conftest import pfq_reference
 from holospaces.errors import DivergenceError, DomainError, NonconvergenceError
 from holospaces.hypergeo import (
     CompensatedSum,
+    ComplexCompensatedSum,
     HypergeometricSpec,
+    SeriesResult,
     eval_pfq,
     gamma_ratio,
     gamma_ratio_asymptotic_error,
@@ -201,3 +205,111 @@ def test_limit_3f2_to_2f2_monotone_decrease():
         limit_3f2_to_2f2_error(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, x) for x in (1e3, 1e4, 1e5)
     ]
     assert errors[0] > errors[1] > errors[2]
+
+
+def _reference_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
+    """The straightforward term loop: accumulator objects and inner ratio loops."""
+    z = complex(z)
+    num = spec.numerator_params
+    den = spec.denominator_params
+    if len(num) == len(den) + 1 and abs(z) >= 1.0:
+        raise DivergenceError(
+            f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
+        )
+    acc = ComplexCompensatedSum()
+    term = 1 + 0j
+    acc.add(term)
+    terms_used = 1
+    small_streak = 0
+    k = 0
+    while terms_used < max_terms:
+        ratio = 1.0
+        for a in num:
+            ratio *= a + k
+        for b in den:
+            ratio /= b + k
+        term = term * (ratio / (k + 1)) * z
+        acc.add(term)
+        terms_used += 1
+        k += 1
+        if abs(term) <= tol * abs(acc.value):
+            small_streak += 1
+            if small_streak >= 3:
+                ratio = 1.0
+                for a in num:
+                    ratio *= a + k
+                for b in den:
+                    ratio /= b + k
+                neglected = abs(term * (ratio / (k + 1)) * z)
+                return SeriesResult(acc.value, terms_used, neglected)
+        else:
+            small_streak = 0
+    partial = SeriesResult(acc.value, terms_used, abs(term))
+    raise NonconvergenceError(
+        f"pFq stop rule not met after {terms_used} terms (|last term| = {abs(term):.3g})",
+        partial=partial,
+    )
+
+
+def _outcome(f, *args):
+    """(kind, repr) of a result's (value, terms, estimate), or of the exception and its partial."""
+    try:
+        r = f(*args)
+    except (DivergenceError, NonconvergenceError, OverflowError) as exc:
+        p = getattr(exc, "partial", None)
+        return type(exc).__name__, repr((str(exc), p and (p.value, p.terms_used, p.error_estimate)))
+    return "ok", repr((r.value, r.terms_used, r.error_estimate))
+
+
+def _pfq_grid():
+    rng = random.Random(20151)
+    phases = [0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi]
+    phases += [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+    grid = []
+    # 3F2 of the ball kernel near |x| = 1 with alpha + n + 1 up to 1e4
+    for a3 in (2.0, 3.37, 47.123, 1234.567, 1e4):
+        for m in range(4):
+            for r in (0.3, 0.9, 0.99, 0.995):
+                z = cmath.rect(r, rng.choice(phases))
+                grid.append(((1.0, 1.0, a3), (m + 1.0, m + 1.0), z, 1e-14, 3000))
+    # 2F2 of the Fock kernel at |nu t| up to 800 (overflow: NaN terms or OverflowError)
+    for m in range(4):
+        for r in (0.5, 7.0, 30.0, 200.0, 800.0):
+            for phase in phases:
+                grid.append(((1.0, 1.0), (m + 1.0, m + 1.0), cmath.rect(r, phase), 1e-14, 3000))
+    grid += [((1.0, 1.0, 1e4), (2.0, 2.0), 0.99, 1e-14, 10000),
+             ((1.0, 1.0), (2.0, 2.0), 800.0, 1e-14, 10000)]
+    # real z (zero imaginary part), z = 0, other tolerances
+    grid += [((1.0, 1.0, 7.0), (2.0, 2.0), z, tol, 10000)
+             for z in (0.0, -0.0, 0.25, -0.8, 0j) for tol in (1e-14, 1e-8)]
+    grid += [((1.0, 1.0), (3.0, 3.0), z, 1e-14, 10000) for z in (0.0, 4.0, -12.5, 150.0)]
+    # generic shapes: two terminating 1F1, 0F0, 1F0, 2F1, a terminating 4F3, 0F2
+    grid += [
+        ((-5.0,), (2.5,), 3.0 - 1.0j, 1e-14, 10000),
+        ((-3.0,), (2.0,), 5.0, 1e-14, 10000),
+        ((), (), 2.0 + 1.0j, 1e-14, 10000),
+        ((0.5,), (), 0.6j, 1e-14, 10000),
+        ((0.5, 2.5), (1.5,), -0.7 + 0.1j, 1e-12, 10000),
+        ((1.0, 2.0, -4.0, 0.25), (3.0, 0.5, 7.0), 0.9, 1e-14, 10000),
+        ((), (1.5, 2.5), -40.0, 1e-14, 10000),
+    ]
+    # max_terms exhaustion, down to a single term
+    grid += [((1.0, 1.0, 3.0), (2.0, 2.0), 0.99, 1e-14, n) for n in (1, 2, 3, 10)]
+    grid += [((1.0, 1.0), (1.0, 1.0), 50.0, 1e-14, n) for n in (1, 7)]
+    grid += [((0.5,), (1.5,), 2.0, 1e-14, 5)]
+    # P = Q + 1 at |z| >= 1
+    grid += [((1.0, 1.0, 3.0), (2.0, 2.0), z, 1e-14, 10000) for z in (1.0, -1.2, 1j)]
+    return grid
+
+
+def test_eval_pfq_bit_identical_to_reference_loop():
+    grid = _pfq_grid()
+    kinds = set()
+    for num, den, z, tol, max_terms in grid:
+        spec = HypergeometricSpec(num, den)
+        expected = _outcome(_reference_eval_pfq, spec, z, tol, max_terms)
+        got = _outcome(eval_pfq, spec, z, tol, max_terms)
+        assert got == expected, (num, den, z, tol, max_terms)
+        kinds.add(expected[0])
+    # the grid reaches the stop rule and every error path, hypot overflow included
+    assert kinds == {"ok", "NonconvergenceError", "DivergenceError", "OverflowError"}

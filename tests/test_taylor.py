@@ -6,7 +6,15 @@ import pytest
 
 from conftest import random_polynomial
 from holospaces import multiindex as mi
-from holospaces.taylor import TaylorSeries, as_point, inner, monomial, vector_norm, zero
+from holospaces.taylor import (
+    TaylorSeries,
+    as_point,
+    inner,
+    monomial,
+    point_inner,
+    vector_norm,
+    zero,
+)
 
 
 def test_inner_examples():
@@ -164,3 +172,9 @@ def test_constructor_validation():
         TaylorSeries(2, {(1,): 1.0})
     with pytest.raises(ValueError):
         TaylorSeries(1, {(-1,): 1.0})
+
+
+def test_point_inner_matches_inner():
+    z, w = (0.1 + 0.2j, -0.3, 2e-300j), (0.25j, 0.05 - 0.1j, 3.0)
+    assert repr(point_inner(as_point(z), as_point(w))) == repr(inner(z, w))
+    assert repr(point_inner(as_point([1]), as_point([1j]))) == repr(inner([1], [1j]))
