@@ -44,6 +44,7 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_from_inner,
     kernel_series_with_tail,
     reproduce,
+    require_finite,
 )
 
 
@@ -60,6 +61,7 @@ class BargmannDirichletSpace:
     series_tail_factor: ClassVar[float] = 2.0
 
     def __post_init__(self):
+        require_finite(n=self.n, nu=self.nu, m=self.m)
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"dimension n must be a positive integer, got {self.n}")
         if not self.nu > 0:

@@ -49,6 +49,7 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_from_inner,
     kernel_series_with_tail,
     reproduce,
+    require_finite,
 )
 from .taylor import as_point, point_inner, vector_norm
 
@@ -68,6 +69,7 @@ class BergmanDirichletSpace:
     series_tail_factor: ClassVar[float] = 5.0
 
     def __post_init__(self):
+        require_finite(n=self.n, alpha=self.alpha, m=self.m, radius=self.radius)
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"dimension n must be a positive integer, got {self.n}")
         if not self.alpha > -1:

@@ -52,6 +52,13 @@ class Space(Protocol):
         """The pFq argument x for a finite t = <z, w>; DomainError outside the domain."""
 
 
+def require_finite(**params) -> None:
+    """DomainError naming the first space parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _argument(space: Space, t) -> tuple[complex, complex]:
     t = complex(t)
     if not cmath.isfinite(t):

@@ -96,6 +96,21 @@ def test_kernel_flag_validation_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "ball", "--alpha", "inf", "--m", "1", "--t", "0.5"],
+    ["kernel", "--space", "ball", "--alpha", "0", "--radius", "inf", "--m", "1", "--t", "0.5"],
+    ["kernel", "--space", "fock", "--nu", "inf", "--m", "1", "--t", "0.5"],
+    ["norms", "--space", "fock", "--nu", "nan", "--m", "1", "--max-total-degree", "2"],
+    ["verify", "--suite", "norms", "--space", "ball", "--alpha", "inf", "--degree-cap", "2"],
+    ["verify", "--suite", "orthogonality", "--space", "fock", "--nu", "inf", "--degree-cap", "2"],
+], ids=["ball-alpha", "ball-radius", "fock-nu", "norms-nan", "verify-ball", "verify-fock"])
+def test_non_finite_space_parameters_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert "must be finite" in err
+    assert out == ""
+
+
 def test_norms_table_ball(capsys):
     code, out, _ = _run(
         capsys,

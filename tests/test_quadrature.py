@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_polynomial
 from holospaces import bargmann, bergman, quadrature
+from holospaces import multiindex as mi
 from holospaces.errors import CapacityError
-from holospaces.taylor import monomial
+from holospaces.taylor import TaylorSeries, canonical_order, monomial, zero
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +185,129 @@ def test_cross_measure_consistency():
                 )
                 closed = bergman.monomial_norm_sq(space, p)
                 assert integral.real == pytest.approx(closed, rel=1e-8)
+
+
+def test_integrators_reject_non_finite_scales(ball_grid_a0, gauss_grid):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be"):
+            quadrature.integrate_ball(2, 0.0, _const, ball_grid_a0, radius=bad)
+        with pytest.raises(ValueError, match="nu must be"):
+            quadrature.integrate_gaussian(2, bad, _const, gauss_grid)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        quadrature.QuadratureGrid.for_ball(2, math.inf, capacity=4)
+
+
+def _reference_evaluate(f, points):
+    """The series loop before the power tables: every power raised on the
+    full point array."""
+    pts = np.asarray(points)
+    values = np.zeros(pts.shape[0], dtype=complex)
+    for p in canonical_order(f.coefficients):
+        term = np.full(pts.shape[0], f.coefficients[p])
+        for axis, exponent in enumerate(p):
+            if exponent:
+                term = term * pts[:, axis] ** exponent
+        values += term
+    return values
+
+
+def _reference_integral(space, f, g, grid):
+    """The weighted integral before the power tables: f * conj(g) on the
+    scaled point array (a plain callable takes that path of integrate_*)."""
+    integrand = lambda pts: _reference_evaluate(f, pts) * np.conj(_reference_evaluate(g, pts))
+    degree = max(f.max_degree, g.max_degree, 0)
+    if grid.kind == "ball":
+        return quadrature.integrate_ball(space.n, space.alpha, integrand, grid,
+                                         radius=space.radius, degree=degree)
+    return quadrature.integrate_gaussian(space.n, space.nu, integrand, grid, degree=degree)
+
+
+def _reference_sobolev(space, f, g, grid):
+    """sobolev_inner_quadrature before the power tables, low-degree integral always taken."""
+    f1, f2 = f.split(space.m)
+    g1, g2 = g.split(space.m)
+    total = _reference_integral(space, f1, g1, grid)
+    for q in mi.enumerate_indices(space.n, space.m):
+        df, dg = f2.derivative(q), g2.derivative(q)
+        if df.coefficients and dg.coefficients:
+            weight = math.factorial(space.m) // mi.multifactorial(q)
+            total += weight * _reference_integral(space, df, dg, grid)
+    return total
+
+
+def _pairs(n, capacity, seed):
+    """Series pairs, and the polynomials among them: monomials up to the
+    capacity (every one up to 40 of them, else a spread) with themselves and
+    their neighbours, random polynomials of the full degree (dense up to 40
+    terms, else about 25), an equal copy, and the zero series."""
+    indices = [p for k in range(capacity + 1) for p in mi.enumerate_indices(n, k)]
+    density = min(1.0, 25 / len(indices))
+    if len(indices) > 40:
+        indices = indices[::8] + indices[-2:]
+    monomials = [monomial(p) for p in indices]
+    pairs = [(phi, phi) for phi in monomials]
+    pairs += list(zip(monomials, monomials[1:]))
+    rng = np.random.default_rng(seed)
+    dense = random_polynomial(rng, n, capacity, density=density)
+    other = random_polynomial(rng, n, capacity, density=density / 2)
+    pairs += [(dense, dense), (dense, TaylorSeries(n, dict(dense.coefficients))),
+              (dense, other), (other, dense), (other, monomials[-1])]
+    pairs += [(zero(n), zero(n)), (zero(n), dense), (dense, zero(n))]
+    return pairs, [dense, other, zero(n), monomials[-1]]
+
+
+# n = 2 grids at capacities 2 and 6 hold less than 256 KiB of points per
+# coordinate, capacity 16 more: numpy reuses temporaries only above that.
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("capacity", [2, 6, 16])
+@pytest.mark.parametrize("kind", ["ball", "gaussian"])
+def test_power_table_integrals_bit_identical_to_reference(kind, capacity, n):
+    if kind == "ball":
+        grid = quadrature.QuadratureGrid.for_ball(n, 0.5, capacity)
+        spaces = [bergman.BergmanDirichletSpace(n, 0.5, 0, radius=r) for r in (1.0, 2.5)]
+    else:
+        grid = quadrature.QuadratureGrid.for_gaussian(n, capacity)
+        spaces = [bargmann.BargmannDirichletSpace(n, nu, 0) for nu in (1.0, 2.0)]
+    pairs, polynomials = _pairs(n, capacity, seed=capacity)
+    for space in spaces:
+        for f, g in pairs:
+            got = quadrature._weighted_integral(space, f, g, grid)
+            assert repr(got) == repr(_reference_integral(space, f, g, grid)), (space, f, g)
+        if kind == "ball":
+            key, scale = space.radius, lambda pts: space.radius * pts
+        else:
+            key, scale = space.nu, lambda pts: pts / math.sqrt(space.nu)
+        table = grid.coordinate_powers(key, scale)
+        for f in polynomials:
+            got = quadrature.evaluate_series(f, table)
+            assert got.tobytes() == _reference_evaluate(f, scale(grid.points)).tobytes()
+
+
+def test_power_table_sobolev_matches_reference_on_a_shared_grid():
+    # default_grid is cached per weight, so spaces of other radii or nu
+    # share one grid: its power table must follow the scale
+    rng = np.random.default_rng(5)
+    f = random_polynomial(rng, 2, 6)
+    g = random_polynomial(rng, 2, 6, density=0.5)
+    for m in range(3):
+        ball = [bergman.BergmanDirichletSpace(2, 0.5, m, radius=r) for r in (1.0, 2.5, 1.0, 2.5)]
+        fock = [bargmann.BargmannDirichletSpace(2, nu, m) for nu in (1.0, 2.0, 1.0, 2.0)]
+        for spaces in (ball, fock):
+            grid = quadrature.default_grid(spaces[0], capacity=6)
+            for space in spaces:
+                assert quadrature.default_grid(space, capacity=6) is grid
+                for a, b in [(f, f), (f, g), (g, monomial((3, 3))), (monomial((1, 0)), f)]:
+                    got = quadrature.sobolev_inner_quadrature(space, a, b, grid)
+                    assert got == _reference_sobolev(space, a, b, grid), (space, a, b)
+
+
+def test_power_table_holds_one_scale():
+    grid = quadrature.QuadratureGrid.for_ball(2, 0.5, capacity=6)
+    arrays = {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+    f = monomial((3, 2))
+    radii = (1.0, 2.0, 0.5, 3.0, 1.5)
+    for radius in radii:
+        space = bergman.BergmanDirichletSpace(2, 0.5, 1, radius=radius)
+        quadrature.sobolev_inner_quadrature(space, f, f, grid)
+    assert list(grid._powers) == [radii[-1]]
+    assert {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)} == arrays

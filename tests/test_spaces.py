@@ -24,6 +24,21 @@ def test_non_finite_argument_is_a_domain_error(family, space, t):
         family.kernel_series_with_tail(space, t)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: bergman.BergmanDirichletSpace(2, v, 1), "alpha"),
+    (lambda v: bergman.BergmanDirichletSpace(2, 0.5, 1, radius=v), "radius"),
+    (lambda v: bergman.BergmanDirichletSpace(v, 0.5, 1), "n"),
+    (lambda v: bergman.BergmanDirichletSpace(2, 0.5, v), "m"),
+    (lambda v: bargmann.BargmannDirichletSpace(2, v, 1), "nu"),
+    (lambda v: bargmann.BargmannDirichletSpace(v, 1.0, 1), "n"),
+    (lambda v: bargmann.BargmannDirichletSpace(2, 1.0, v), "m"),
+], ids=["ball-alpha", "ball-radius", "ball-n", "ball-m", "fock-nu", "fock-n", "fock-m"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_space_parameter_is_a_domain_error(make, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        make(value)
+
+
 def _reference_series_with_tail(space, t, max_degree):
     """The straightforward degree loop: a ``_step`` closure and accumulator objects."""
     t = complex(t)
