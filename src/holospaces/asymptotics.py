@@ -7,18 +7,18 @@ This module packages that limit as sweeps over increasing radii: the kernel
 prefactor alone (Binet regime), the hypergeometric factor alone (large
 parameter against small argument), and the full kernels side by side.
 
-All Gamma evaluations route through gamma_ratio: alpha reaches 1e4 already at
-R = 100 and raw Gamma overflows long before that.
+No Gamma is formed directly: alpha reaches 1e4 already at R = 100 and raw
+Gamma overflows long before that.  The ball space supplies its prefactor as
+the rising factorial (alpha+1)_n and its norms through gamma_ratio.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import bargmann, bergman
 from .errors import DomainError
-from .hypergeo import gamma_ratio, limit_3f2_to_2f2_error
+from .hypergeo import limit_3f2_to_2f2_error
 from .taylor import inner
 
 
@@ -46,12 +46,7 @@ def prefactor_ratio(nu: float, radius: float, n: int) -> float:
 
     Converges to (nu/pi)^n as R -> infinity, with deviation O(1/R^2).
     """
-    if not nu > 0:
-        raise DomainError(f"nu must be positive, got {nu}")
-    if not radius > 0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    x = nu * radius * radius
-    return gamma_ratio(x + n + 1.0, x + 1.0) / (math.pi**n * radius ** (2 * n))
+    return scaled_space(nu, radius, n, 0).kernel_prefactor()
 
 
 def convergence_sweep(

@@ -19,9 +19,9 @@ oracles can demonstrate the difference numerically.
 
 This module holds what is particular to the plane: the space parameters with
 their kernel prefactor and 2F2 argument, and the monomial norms in both
-forms.  Norms, inner products, kernels, series oracles and ``reproduce`` are
-the shared algorithms of ``holospaces.spaces``, bound here under their usual
-names.
+forms.  Norms, inner products, kernels, series oracles, ``reproduce`` and
+``pointwise_bound`` are the shared algorithms of ``holospaces.spaces``, bound
+here under their usual names.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_enumerated,
     kernel_series_from_inner,
     kernel_series_with_tail,
+    pointwise_bound,
     reproduce,
     require_finite,
 )

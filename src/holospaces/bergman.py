@@ -23,9 +23,10 @@ term by term (and the flat limit of the scaled spaces).
 
 This module holds what is particular to the ball: the space parameters with
 their kernel prefactor, 3F2 parameter and |t| < R^2 check, the monomial
-norms, the Gamma-route coefficient table and the evaluation bounds.  Norms,
-inner products, kernels, series oracles and ``reproduce`` are the shared
-algorithms of ``holospaces.spaces``, bound here under their usual names.
+norms, the Gamma-route coefficient table and the displayed evaluation
+constant.  Norms, inner products, kernels, series oracles, ``reproduce`` and
+``pointwise_bound`` are the shared algorithms of ``holospaces.spaces``, bound
+here under their usual names.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import ClassVar
 
 from . import multiindex as mi
 from .errors import DomainError
-from .hypergeo import CompensatedSum, gamma_ratio
+from .hypergeo import CompensatedSum, gamma_ratio, pochhammer
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
     DEFAULT_SERIES_DEGREE,
     function_norm_sq,
@@ -48,10 +49,11 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_enumerated,
     kernel_series_from_inner,
     kernel_series_with_tail,
+    pointwise_bound,
     reproduce,
     require_finite,
 )
-from .taylor import as_point, point_inner, vector_norm
+from .taylor import as_point, vector_norm
 
 # math.gamma overflows shortly above this; switch to log-space ratios.
 _GAMMA_DIRECT_MAX = 170.0
@@ -87,9 +89,10 @@ class BergmanDirichletSpace:
         return monomial_norm_sq(self, p)
 
     def kernel_prefactor(self) -> float:
-        return gamma_ratio(self.alpha + self.n + 1.0, self.alpha + 1.0) / (
-            math.pi**self.n * self.radius ** (2 * self.n)
-        )
+        # Gamma(alpha+n+1)/Gamma(alpha+1) as (alpha+1)_n: gamma_ratio would take the
+        # offset n as fl(alpha+n+1) - fl(alpha+1), which loses it from alpha = 2^53 on
+        rising = pochhammer(self.alpha + 1.0, self.n)
+        return rising / (math.pi**self.n * self.radius ** (2 * self.n))
 
     def series_argument(self, t: complex) -> complex:
         r2 = self.radius * self.radius
@@ -131,17 +134,6 @@ def monomial_norm_sq(space: BergmanDirichletSpace, p) -> float:
     num, arg, r_exp = _coeff_parts(space, p)
     ratio = gamma_ratio(space.alpha + 1.0, arg)  # 1/Gamma stays finite for large alpha
     return math.pi**space.n * float(num) * ratio * space.radius**r_exp
-
-
-def pointwise_bound(space: BergmanDirichletSpace, z) -> float:
-    """Sharp evaluation bound sqrt(K(z, z)): |f(z)| <= bound * ||f|| for all f."""
-    zt = as_point(z, space.n)
-    if vector_norm(zt) >= space.radius:
-        raise DomainError(
-            f"point |z| = {vector_norm(zt):.6g} must be < R = {space.radius:.6g}"
-        )
-    value = kernel_closed_from_inner(space, point_inner(zt, zt))
-    return math.sqrt(value.real)
 
 
 def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:

@@ -310,7 +310,7 @@ def cmd_sweep(args) -> int:
     rows = []
     previous = None
     for rec in records:
-        ratio = previous / rec.abs_error if previous not in (None, 0.0) else ""
+        ratio = previous / rec.abs_error if previous and rec.abs_error else ""
         rows.append(
             {
                 "R": rec.radius,

@@ -22,19 +22,19 @@ to roundoff rather than merely converged:
 Integrands are vectorized: a callable mapping an (npts, n) complex array of
 points to an (npts,) array of values.
 
-Series integrands (``series_pair_product``) are evaluated from a power table
-instead.  The grid is a tensor product, so each coordinate takes few
-distinct values (3,300 at n = 2, capacity 16, against 108,900 points).
+Series integrands (``SeriesProduct``) are evaluated from a power table
+only.  The grid is a tensor product, so each coordinate takes few distinct
+values (3,300 at n = 2, capacity 16, against 108,900 points).
 ``QuadratureGrid.coordinate_powers`` scales those values once for the
 space's R or nu and raises each power once; ``evaluate_series`` broadcasts a
-power over the grid.  The results are bit-identical to evaluating on the
-scaled point array, and that takes care: numpy's complex multiply may be
-FMA-contracted, so ``a * b`` and ``b * a`` can differ in the last bit, and
+power over the grid.  The results are bit-identical to raising every power
+on the scaled point array, and that takes care: numpy's complex multiply may
+be FMA-contracted, so ``a * b`` and ``b * a`` can differ in the last bit, and
 numpy reuses a temporary operand of at least 256 KiB as the output, which
 turns ``term * power`` into ``power * term`` on large grids only.  Every
-expression therefore keeps the shape it has on point arrays: a power is a
-fresh array, a pair is ``evaluate(f) * conj(evaluate(g))``, and a series
-paired with itself, evaluated once, is ``np.multiply(v, conj(v))``.
+expression therefore keeps the shape it would have on point arrays: a power
+is a fresh array, a pair is ``evaluate(f) * conj(evaluate(g))``, and a
+series paired with itself, evaluated once, is ``np.multiply(v, conj(v))``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from . import bergman
 from . import multiindex as mi
-from .errors import CapacityError
+from .errors import CapacityError, DomainError
 from .spaces import function_norm_sq
 from .taylor import TaylorSeries, canonical_order, monomial
 
@@ -93,37 +93,28 @@ class QuadratureGrid:
     _powers: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def for_ball(cls, n: int, alpha: float, capacity: int = DEFAULT_CAPACITY,
-                 _scale: int = 1) -> "QuadratureGrid":
-        if n not in (1, 2):
-            raise ValueError(f"ball quadrature is provided for n in {{1, 2}}, got {n}")
+    def for_ball(cls, n: int, alpha: float, capacity: int = DEFAULT_CAPACITY) -> "QuadratureGrid":
         if not alpha > -1:
             raise ValueError(f"alpha must be > -1, got {alpha}")
         if not math.isfinite(alpha):
             raise ValueError(f"alpha must be finite, got {alpha}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        n_rad = (capacity // 2 + 2) * _scale
-        n_u = (capacity // 2 + 2) * _scale
-        m_theta = (2 * capacity + 1) * _scale
-        tt, wt = _jacobi01(n_rad, alpha)
-        return cls._assemble("ball", n, capacity, alpha, tt, wt, n_u, m_theta)
+        return cls._assemble("ball", n, capacity, alpha, partial(_jacobi01, alpha=alpha))
 
     @classmethod
-    def for_gaussian(cls, n: int, capacity: int = DEFAULT_CAPACITY,
-                     _scale: int = 1) -> "QuadratureGrid":
+    def for_gaussian(cls, n: int, capacity: int = DEFAULT_CAPACITY) -> "QuadratureGrid":
+        return cls._assemble("gaussian", n, capacity, None, roots_laguerre)
+
+    @classmethod
+    def _assemble(cls, kind, n, capacity, alpha, radial_rule):
+        """The tensor grid; ``radial_rule(count)`` gives the radial nodes and
+        weights in t = r^2 (or s = nu r^2)."""
         if n not in (1, 2):
-            raise ValueError(f"gaussian quadrature is provided for n in {{1, 2}}, got {n}")
+            raise ValueError(f"{kind} quadrature is provided for n in {{1, 2}}, got {n}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        n_rad = (capacity // 2 + 2) * _scale
-        n_u = (capacity // 2 + 2) * _scale
-        m_theta = (2 * capacity + 1) * _scale
-        ss, ws = roots_laguerre(n_rad)
-        return cls._assemble("gaussian", n, capacity, None, ss, ws, n_u, m_theta)
-
-    @classmethod
-    def _assemble(cls, kind, n, capacity, alpha, tt, wt, n_u, m_theta):
+        n_rad = n_u = capacity // 2 + 2
+        m_theta = 2 * capacity + 1
+        tt, wt = radial_rule(n_rad)
         theta = 2.0 * np.pi * np.arange(m_theta) / m_theta
         phase = np.exp(1j * theta)
         w_theta = 2.0 * np.pi / m_theta
@@ -185,12 +176,6 @@ class QuadratureGrid:
             table = self._powers[key] = CoordinatePowers(shape, [scale(c) for c in coords])
         return table
 
-    def doubled(self) -> "QuadratureGrid":
-        """Same capacity label, twice the nodes in every direction."""
-        if self.kind == "ball":
-            return QuadratureGrid.for_ball(self.n, self.alpha, self.capacity, _scale=2)
-        return QuadratureGrid.for_gaussian(self.n, self.capacity, _scale=2)
-
 
 class CoordinatePowers:
     """Scaled coordinates of a tensor grid, each power raised once.
@@ -224,7 +209,7 @@ def _check_capacity(grid: QuadratureGrid, degree) -> None:
 def _grid_values(integrand, grid: QuadratureGrid, key, scale):
     """``integrand`` at the grid's points mapped by ``scale``; a series
     product reads them from the grid's power table for ``key``."""
-    if isinstance(integrand, _SeriesProduct):
+    if isinstance(integrand, SeriesProduct):
         return integrand(grid.coordinate_powers(key, scale))
     return integrand(scale(grid.points))
 
@@ -295,49 +280,33 @@ def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
     return complex(np.sum(wgt * values))
 
 
-def evaluate_series(f: TaylorSeries, points) -> np.ndarray:
-    """Vectorized polynomial evaluation on an (npts, dimension) point array,
-    or on a grid's ``CoordinatePowers`` (the same bits; see the module notes)."""
-    if isinstance(points, CoordinatePowers):
-        count, power = points.count, points.power
-    else:
-        pts = np.asarray(points)
-        count = pts.shape[0]
-
-        def power(axis, exponent):
-            return pts[:, axis] ** exponent
-    values = np.zeros(count, dtype=complex)
+def evaluate_series(f: TaylorSeries, points: CoordinatePowers) -> np.ndarray:
+    """Vectorized polynomial evaluation at every point of a grid, from the
+    grid's ``CoordinatePowers`` (see the module notes)."""
+    values = np.zeros(points.count, dtype=complex)
     for p in canonical_order(f.coefficients):
-        term = np.full(count, f.coefficients[p])
+        term = np.full(points.count, f.coefficients[p])
         for axis, exponent in enumerate(p):
             if exponent:
-                term = term * power(axis, exponent)
+                term = term * points.power(axis, exponent)
         values += term
     return values
 
 
-class _SeriesProduct:
+class SeriesProduct:
     """The integrand f * conj(g) of two series; ``integrate_*`` evaluate it
     from the grid's power table."""
 
     def __init__(self, f: TaylorSeries, g: TaylorSeries):
         self.f, self.g = f, g
 
-    def __call__(self, points) -> np.ndarray:
+    def __call__(self, points: CoordinatePowers) -> np.ndarray:
         if self.f == self.g:
             values = evaluate_series(self.f, points)
             # not v * np.conj(v): numpy may reuse the large temporary
             # conj(v) as the output and multiply in the other order
             return np.multiply(values, np.conj(values))
         return evaluate_series(self.f, points) * np.conj(evaluate_series(self.g, points))
-
-
-def series_abs_squared(f: TaylorSeries):
-    return lambda pts: np.abs(evaluate_series(f, pts)) ** 2
-
-
-def series_pair_product(f: TaylorSeries, g: TaylorSeries):
-    return _SeriesProduct(f, g)
 
 
 @lru_cache(maxsize=64)
@@ -368,7 +337,7 @@ def default_grid(space, capacity: int = DEFAULT_CAPACITY) -> QuadratureGrid:
 def _weighted_integral(space, f: TaylorSeries, g: TaylorSeries, grid: QuadratureGrid) -> complex:
     """<f, g> in the plain weighted L^2 sense (no derivative terms)."""
     _, integrate = _rule(space)
-    return integrate(series_pair_product(f, g), grid, degree=max(f.max_degree, g.max_degree, 0))
+    return integrate(SeriesProduct(f, g), grid, degree=max(f.max_degree, g.max_degree, 0))
 
 
 def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
@@ -412,6 +381,8 @@ def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
     quad_value = sobolev_inner_quadrature(space, phi, phi, grid).real
     if formula is None:
         formula = space.monomial_norm_sq(q)
+    if formula == 0.0:
+        raise DomainError(f"the norm of z^{q} underflows to 0; no relative gap exists")
     return abs(quad_value - formula) / formula
 
 
@@ -430,6 +401,10 @@ def verify_orthogonality(space, p, q, grid: QuadratureGrid | None = None) -> flo
     _check_capacity(grid, max(mi.degree(pt), mi.degree(qt)))
     cross = sobolev_inner_quadrature(space, monomial(pt), monomial(qt), grid)
     norms = space.monomial_norm_sq(pt) * space.monomial_norm_sq(qt)
+    if norms == 0.0:
+        raise DomainError(
+            f"the norms of z^{pt} and z^{qt} underflow to 0; no normalized product exists"
+        )
     return abs(cross) / math.sqrt(norms)
 
 

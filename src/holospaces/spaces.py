@@ -10,7 +10,8 @@ in t = <z, w>, with x = t/R^2 and extra = (alpha+n+1,) on the ball (3F2) and
 x = nu t and no extra parameter on the plane (2F2).  The flat limit
 alpha = nu R^2, R -> infinity, turns the first into the second.
 
-A space supplies what differs (see ``Space``); everything here is generic.
+A space supplies what differs (see ``Space``); everything here is generic,
+down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
 ``bergman`` and ``bargmann`` bind these functions under their own names.
 """
 
@@ -252,6 +253,21 @@ def kernel_series_enumerated(
     return acc.value
 
 
+def _require_inside(space: Space, point: tuple, label: str) -> None:
+    """DomainError unless |point| < R; ``label`` names the point in the message."""
+    # the plane (R = inf) has no boundary; there vector_norm may be inf (|z| > 1.8e308)
+    if space.radius < math.inf and vector_norm(point) >= space.radius:
+        raise DomainError(f"{label} = {vector_norm(point):.6g} must be < R = {space.radius:.6g}")
+
+
+def pointwise_bound(space: Space, z) -> float:
+    """Sharp evaluation bound sqrt(K(z, z)): |f(z)| <= bound * ||f|| for all f."""
+    zt = as_point(z, space.n)
+    _require_inside(space, zt, "point |z|")
+    value = kernel_closed_from_inner(space, point_inner(zt, zt))
+    return math.sqrt(value.real)
+
+
 def reproduce(
     space: Space,
     f: TaylorSeries,
@@ -267,11 +283,7 @@ def reproduce(
     if f.dimension != space.n:
         raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
     wt = as_point(w, space.n)
-    # the plane (R = inf) has no boundary; there vector_norm may be inf (|w| > 1.8e308)
-    if space.radius < math.inf and vector_norm(wt) >= space.radius:
-        raise DomainError(
-            f"evaluation point |w| = {vector_norm(wt):.6g} must be < R = {space.radius:.6g}"
-        )
+    _require_inside(space, wt, "evaluation point |w|")
     if f.max_degree < 0:
         return 0j
     coeffs = {}

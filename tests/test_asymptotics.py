@@ -33,6 +33,15 @@ def test_prefactor_ratio_limit():
     assert 3.5 <= deviations[1] / deviations[2] <= 4.5
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_prefactor_keeps_n_beyond_2_pow_53(n):
+    # alpha = 2^54: fl(alpha + n + 1) - fl(alpha + 1) is not n
+    space = asymptotics.scaled_space(1.0, 2.0**27, n, 0)
+    value = bergman.kernel_closed_from_inner(space, 0.0)
+    assert value.real == pytest.approx((1.0 / math.pi) ** n, rel=1e-12)
+    assert asymptotics.prefactor_ratio(1.0, 2.0**27, n) == value.real
+
+
 def test_sweep_at_zero_inner_product_matches_prefactor():
     radii = [5.0, 10.0, 20.0]
     records = asymptotics.convergence_sweep(1.0, 1, 2, (0.0, 0.0), (0.3, 0.1), radii)

@@ -219,17 +219,6 @@ def test_pointwise_bound_origin():
     assert bergman.pointwise_bound(space, (0.0, 0.0)) == pytest.approx(expected)
 
 
-def test_pointwise_bound_dominates_evaluations():
-    space = bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=1)
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        f = random_polynomial(rng, 2, 6, density=0.6)
-        z = random_point(rng, 2, 0.85)
-        bound = bergman.pointwise_bound(space, z)
-        norm = math.sqrt(bergman.function_norm_sq(space, f))
-        assert abs(f.evaluate(z)) <= bound * norm * (1.0 + 1e-12)
-
-
 def test_pointwise_bound_radially_monotone():
     space = bergman.BergmanDirichletSpace(n=2, alpha=0.0, m=2)
     direction = (1.0 / math.sqrt(2), 1.0 / math.sqrt(2))

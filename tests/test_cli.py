@@ -204,6 +204,28 @@ def test_sweep_prefactor_only_at_zero(capsys):
         assert float(row["abs_error"]) == pytest.approx(expected, rel=1e-12)
 
 
+def test_sweep_zero_error_leaves_ratio_empty(capsys):
+    # from R = 1e8 on, the scaled prefactor equals the flat one in floats
+    code, out, _ = _run(
+        capsys,
+        ["sweep", "--nu", "1", "--m", "0", "--n", "1", "--t", "0", "--radii", "1e7,1e8,1e9"],
+    )
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [r["error_ratio"] for r in rows] == [""] * 3
+    assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
+
+
+@pytest.mark.parametrize("suite", ["norms", "orthogonality"])
+def test_verify_underflowed_norms_exit_2(capsys, suite):
+    code, out, err = _run(
+        capsys, ["verify", "--suite", suite, "--space", "ball", "--radius", "1e-200"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "underflow" in err
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["sweep", "--nu", "1", "--m", "1", "--n", "1", "--t", "0.25", "--radii", "5,10"]
     _, first, _ = _run(capsys, argv)

@@ -104,15 +104,15 @@ def test_grid_validation(ball_grid_a0, gauss_grid):
         )
 
 
-def test_doubling_leaves_exact_results_unchanged(ball_grid_a0, gauss_grid):
-    doubled = ball_grid_a0.doubled()
-    f = monomial((3, 2))
-    base = quadrature.integrate_ball(2, 0.0, quadrature.series_abs_squared(f), ball_grid_a0, degree=5)
-    refined = quadrature.integrate_ball(2, 0.0, quadrature.series_abs_squared(f), doubled, degree=5)
+def test_finer_grid_leaves_exact_results_unchanged(ball_grid_a0, gauss_grid):
+    f = quadrature.SeriesProduct(monomial((3, 2)), monomial((3, 2)))
+    fine = quadrature.QuadratureGrid.for_ball(2, 0.0, capacity=20)
+    base = quadrature.integrate_ball(2, 0.0, f, ball_grid_a0, degree=5)
+    refined = quadrature.integrate_ball(2, 0.0, f, fine, degree=5)
     assert abs(base - refined) <= 1e-12 * abs(base)
-    gdoubled = gauss_grid.doubled()
-    gbase = quadrature.integrate_gaussian(2, 1.0, quadrature.series_abs_squared(f), gauss_grid, degree=5)
-    grefined = quadrature.integrate_gaussian(2, 1.0, quadrature.series_abs_squared(f), gdoubled, degree=5)
+    gfine = quadrature.QuadratureGrid.for_gaussian(2, capacity=20)
+    gbase = quadrature.integrate_gaussian(2, 1.0, f, gauss_grid, degree=5)
+    grefined = quadrature.integrate_gaussian(2, 1.0, f, gfine, degree=5)
     assert abs(gbase - grefined) <= 1e-12 * abs(gbase)
 
 
@@ -178,7 +178,7 @@ def test_cross_measure_consistency():
                 integral = quadrature.integrate_ball(
                     2,
                     alpha,
-                    quadrature.series_abs_squared(monomial(p)),
+                    quadrature.SeriesProduct(monomial(p), monomial(p)),
                     grid,
                     radius=radius,
                     degree=k,

@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conftest import random_point, random_polynomial
 from holospaces import bargmann, bergman
 from holospaces.errors import DomainError, NonconvergenceError
 from holospaces.hypergeo import ComplexCompensatedSum, HypergeometricSpec, eval_pfq
@@ -143,3 +145,18 @@ def test_kernel_points_keep_their_values_and_error_messages():
                 call(space, z, bad)
         with pytest.raises(ValueError, match=message):
             bergman.pointwise_bound(space, bad)
+
+
+# the plane has no boundary, so its points may lie beyond the unit ball
+@pytest.mark.parametrize("family, space, max_norm", [
+    (bergman, bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=1), 0.85),
+    (bargmann, bargmann.BargmannDirichletSpace(n=2, nu=1.0, m=1), 2.5),
+], ids=["ball", "fock"])
+def test_pointwise_bound_dominates_evaluations(family, space, max_norm):
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        f = random_polynomial(rng, 2, 6, density=0.6)
+        z = random_point(rng, 2, max_norm)
+        bound = family.pointwise_bound(space, z)
+        norm = math.sqrt(family.function_norm_sq(space, f))
+        assert abs(f.evaluate(z)) <= bound * norm * (1.0 + 1e-12)
