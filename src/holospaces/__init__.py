@@ -42,9 +42,8 @@ __all__ = [
 ]
 
 
-# quadrature is imported on first access: it loads numpy and scipy.special,
-# which would otherwise be most of the start-up of every kernel, norms or
-# sweep call.
+# quadrature is imported on first access: it loads numpy, which would
+# otherwise be most of the start-up of every kernel, norms or sweep call.
 def __getattr__(name):
     if name == "quadrature":
         import importlib

@@ -5,7 +5,7 @@ line for CSV, a ``meta`` object for JSON) and byte-identical across runs of
 the same invocation.  Exit codes: 0 success, 1 verification failure, 2 usage
 or domain error.
 
-numpy and scipy are imported only by the quadrature suites of ``verify``
+numpy is imported only by the quadrature suites of ``verify``
 (norms, orthogonality, sobolev), so every other command starts on the
 standard library alone.
 """

@@ -14,10 +14,21 @@ to roundoff rather than merely converged:
   Gauss-Laguerre nodes are exact and independent of nu.
 * sphere (n = 2): the parametrization xi = (e^{i th1} sin(phi),
   e^{i th2} cos(phi)) with u = sin^2(phi) reduces the phi integral to a
-  polynomial in u on [0, 1], handled by Gauss-Legendre.
+  polynomial in u on [0, 1], handled by Gauss-Legendre (Jacobi at alpha = 0).
 * torus angles: equispaced sums annihilate every Fourier mode that is not a
   multiple of the point count, which is what makes monomial orthogonality
   hold to machine precision; the count exceeds twice the degree capacity.
+
+The Gauss rules are built with numpy alone (``_gauss``), after Golub and
+Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the Jacobi
+matrix of the weight's three-term recurrence, polished by one Newton step on
+the orthonormal recurrence and its derivative, and each weight is the
+Christoffel function 1 / sum_{k<N} q_k(x)^2 at its node.  The Jacobi rule is
+written directly on [0, 1] for (1-t)^alpha: its recurrence is the [-1, 1]
+one shifted, a_k -> (a_k+1)/2 and b_k -> b_k/4, and its mass is 1/(alpha+1),
+so no factor 2^(alpha+1) is formed and the rule holds to alpha ~ 1e200.
+The recurrence is run through the bidiagonal factor L of the Jacobi matrix
+J = L L^T, which keeps nodes near 0 accurate relative to their size.
 
 Integrands are vectorized: a callable mapping an (npts, n) complex array of
 points to an (npts,) array of values.
@@ -44,7 +55,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from . import bergman
 from . import multiindex as mi
@@ -55,16 +65,73 @@ from .taylor import TaylorSeries, canonical_order, monomial
 DEFAULT_CAPACITY = 16
 
 
+def _gauss(diag: np.ndarray, sub: np.ndarray, mass: float):
+    """Gauss rule for a weight on [0, inf) of total ``mass``.
+
+    The weight enters through the factor L of its Jacobi matrix J = L L^T:
+    L is lower bidiagonal with diagonal d, d^2 = ``diag`` (N entries, one
+    per node), and subdiagonal e, e^2 = ``sub`` (N - 1 entries).  So the
+    monic orthogonal polynomials satisfy p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
+    with a_k = diag_k + sub_k and b_k = sub_k diag_{k-1}.  The nodes are the
+    eigenvalues of J (Golub-Welsch), polished by one Newton step on the
+    orthonormal q_N; each weight is the Christoffel function
+    1 / sum_{k<N} q_k(x)^2 at the polished node.
+    """
+    d, e = np.sqrt(diag), np.sqrt(sub)
+    a = diag + np.concatenate(([0.0], sub))
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(e * d[:-1], -1))
+    # (d_k, e_k, e_{k+1}) per step: e_0 = 0 meets s_{-1} = 0; e_N = 1 only scales q_N
+    e = e.tolist()
+    steps = list(zip(d.tolist(), [0.0, *e], [*e, 1.0]))
+    q_0 = 1.0 / math.sqrt(mass)
+
+    def recurrence(x: float):
+        """(q_N up to a constant factor, its derivative, sum_{k<N} q_k^2) at x.
+
+        The q_k run through the factors, s = L^T q and L s = x q, not
+        through a_k and b_k: a node near 0 then keeps its relative accuracy,
+        where a_k of order 1 would round it by 1e-16 absolute.  One node at a
+        time on floats: at a few dozen nodes numpy's per-call cost would be
+        most of the grid build.
+        """
+        q, dq, s, ds, squares = q_0, 0.0, 0.0, 0.0, 0.0
+        for d_k, e_k, e_next in steps:
+            squares += q * q
+            s, ds = (x * q - e_k * s) / d_k, (q + x * dq - e_k * ds) / d_k
+            q, dq = (s - d_k * q) / e_next, (ds - d_k * dq) / e_next
+        return q, dq, squares
+
+    polished = []
+    for x in nodes.tolist():
+        value, slope, _ = recurrence(x)
+        polished.append(x - value / slope)
+    weights = np.array([1.0 / recurrence(x)[2] for x in polished])
+    if not np.all(np.isfinite(weights)):
+        # e.g. the ball weight past alpha ~ 1e200, whose q_N' overflows
+        raise DomainError("the Gauss rule of this weight leaves the float range")
+    return np.array(polished), weights
+
+
 def _jacobi01(count: int, alpha: float):
-    """Nodes/weights for integral over [0,1] against (1-t)^alpha dt."""
-    x, w = roots_jacobi(count, alpha, 0.0)
-    return (x + 1.0) / 2.0, w * 2.0 ** (-(alpha + 1.0))
+    """Nodes/weights for the integral over [0,1] against (1-t)^alpha dt.
+
+    The factors give the [-1, 1] Jacobi coefficients shifted by
+    t = (x+1)/2: a_k = (a_k[-1,1] + 1)/2 and b_k = b_k[-1,1]/4, with no
+    cancellation at large alpha, and a_0 = 1/(alpha+2) at every alpha.
+    """
+    k = np.arange(float(count))
+    # ratio by ratio, so that no product of two alphas overflows
+    diag = (k + 1.0) / (2.0 * k + alpha + 2.0) * ((k + alpha + 1.0) / (2.0 * k + alpha + 1.0))
+    k = k[1:]
+    sub = k / (2.0 * k + alpha) * ((k + alpha) / (2.0 * k + alpha + 1.0))
+    return _gauss(diag, sub, 1.0 / (alpha + 1.0))
 
 
-def _legendre01(count: int):
-    """Nodes/weights for the plain integral over [0,1]."""
-    x, w = roots_legendre(count)
-    return (x + 1.0) / 2.0, w / 2.0
+def _laguerre(count: int):
+    """Nodes/weights for the integral over [0,inf) against exp(-s) ds:
+    a_k = 2k+1, b_k = k^2."""
+    k = np.arange(float(count))
+    return _gauss(k + 1.0, k[1:], 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +169,7 @@ class QuadratureGrid:
 
     @classmethod
     def for_gaussian(cls, n: int, capacity: int = DEFAULT_CAPACITY) -> "QuadratureGrid":
-        return cls._assemble("gaussian", n, capacity, None, roots_laguerre)
+        return cls._assemble("gaussian", n, capacity, None, _laguerre)
 
     @classmethod
     def _assemble(cls, kind, n, capacity, alpha, radial_rule):
@@ -125,7 +192,7 @@ class QuadratureGrid:
             wgt = (radial_factor[:, None] * np.full(m_theta, w_theta)[None, :]).reshape(-1)
             u_nodes = u_weights = None
         else:
-            uu, wu = _legendre01(n_u)
+            uu, wu = _jacobi01(n_u, 0.0)
             r1 = np.sqrt(tt[:, None] * uu[None, :])  # |z1| over (t, u)
             r2 = np.sqrt(tt[:, None] * (1.0 - uu)[None, :])
             shape = (len(tt), n_u, m_theta, m_theta)
@@ -417,5 +484,7 @@ def verify_sobolev_norm(space, f: TaylorSeries, grid: QuadratureGrid | None = No
     quad_value = sobolev_inner_quadrature(space, f, f, grid).real
     formula = function_norm_sq(space, f)
     if formula == 0.0:
+        if f.coefficients:
+            raise DomainError("the norm of the series underflows to 0; no relative gap exists")
         return abs(quad_value)
     return abs(quad_value - formula) / formula

@@ -147,6 +147,16 @@ def test_verify_norms_pass(capsys):
     assert _csv_rows(out)[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("alpha", ["1100", "1e4"])
+def test_verify_norms_pass_at_large_alpha(capsys, alpha):
+    # the ball weight (1 - |z|^2)^alpha of the flat limit, past 2^(alpha+1) overflow
+    code, out, _ = _run(
+        capsys, ["verify", "--suite", "norms", "--space", "ball", "--alpha", alpha, "--m", "0"]
+    )
+    assert code == 0
+    assert _csv_rows(out)[0]["status"] == "pass"
+
+
 def test_verify_orthogonality_pass(capsys):
     code, out, _ = _run(
         capsys,
@@ -216,7 +226,7 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
     assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
 
 
-@pytest.mark.parametrize("suite", ["norms", "orthogonality"])
+@pytest.mark.parametrize("suite", ["norms", "orthogonality", "sobolev"])
 def test_verify_underflowed_norms_exit_2(capsys, suite):
     code, out, err = _run(
         capsys, ["verify", "--suite", suite, "--space", "ball", "--radius", "1e-200"]

@@ -1,7 +1,7 @@
-"""Import hygiene: numpy and scipy load only where quadrature needs them.
+"""Import hygiene: numpy loads only where quadrature needs it, scipy nowhere.
 
 Each check runs in a fresh interpreter, because the test process itself has
-long since imported numpy, scipy and ``holospaces.quadrature``.
+long since imported numpy and ``holospaces.quadrature``.
 """
 
 import json
@@ -21,6 +21,13 @@ STDLIB_COMMANDS = {
     "norms": ["norms", "--space", "ball", "--alpha", "0", "--m", "1", "--max-total-degree", "3"],
     "sweep": ["sweep", "--nu", "1", "--m", "1", "--t", "0.5", "--radii", "10,100"],
     "verify-identities": ["verify", "--suite", "identities"],
+}
+
+VERIFY_SUITES = {
+    "norms": ["verify", "--suite", "norms", "--degree-cap", "2"],
+    "orthogonality": ["verify", "--suite", "orthogonality", "--degree-cap", "2"],
+    "sobolev": ["verify", "--suite", "sobolev", "--degree-cap", "2"],
+    "identities": ["verify", "--suite", "identities"],
 }
 
 
@@ -58,9 +65,24 @@ print(json.dumps(report))
 """
     report = _run(script)
     assert report.pop("codes") == {**{name: 0 for name in STDLIB_COMMANDS}, "verify-norms": 0}
-    # the quadrature suite does load both, so the checks above can see a leak
-    assert report.pop("verify-norms") == list(HEAVY)
+    # the quadrature suite does load numpy, so the checks above can see a leak
+    assert report.pop("verify-norms") == ["numpy"]
     assert report == {"import": [], **{name: [] for name in STDLIB_COMMANDS}}
+
+
+def test_verify_suites_run_without_scipy():
+    script = f"""
+import contextlib, io, json, sys
+
+import holospaces.cli
+report = {{}}
+for suite, argv in {VERIFY_SUITES!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = holospaces.cli.main(argv)
+    report[suite] = [code, "scipy" in sys.modules]
+print(json.dumps(report))
+"""
+    assert _run(script) == {suite: [0, False] for suite in VERIFY_SUITES}
 
 
 def test_quadrature_resolves_on_first_access():

@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import random_polynomial
 from holospaces import bargmann, bergman, quadrature
 from holospaces import multiindex as mi
-from holospaces.errors import CapacityError
+from holospaces.errors import CapacityError, DomainError
 from holospaces.taylor import TaylorSeries, canonical_order, monomial, zero
 
 
@@ -87,6 +88,73 @@ def test_dimension_one_anchors():
         1, 1.0, lambda pts: np.abs(pts[:, 0]) ** 8, ggrid, degree=4
     )
     assert moment.real == pytest.approx(math.pi * math.factorial(4), rel=1e-13)
+
+
+def _reference_rule(count, alpha=None):
+    """40-digit Gauss rule from mpmath, sorted by node: Jacobi mapped onto
+    [0, 1] against (1-t)^alpha, or Laguerre when ``alpha`` is None."""
+    with mp.workdps(40):
+        if alpha is None:
+            nodes, weights = mp.gauss_quadrature(count, "laguerre")
+        else:
+            x, w = mp.gauss_quadrature(count, "jacobi", mp.mpf(alpha), 0)
+            scale = mp.mpf(2) ** -(mp.mpf(alpha) + 1)
+            nodes, weights = [(xi + 1) / 2 for xi in x], [wi * scale for wi in w]
+        return sorted(zip(nodes, weights))
+
+
+def _rule_errors(rule, reference):
+    """Largest relative errors of the nodes and of the weights."""
+    order = np.argsort(rule[0])
+    with mp.workdps(40):
+        return tuple(
+            max(float(abs((mp.mpf(float(got)) - want) / want))
+                for got, want in zip(values[order], wants))
+            for values, wants in zip(rule, zip(*reference))
+        )
+
+
+RULE_COUNTS = [2, 5, 10, 18, 33]
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5, 3.7, 150.0])
+@pytest.mark.parametrize("count", RULE_COUNTS)
+def test_jacobi_rule_against_mpmath(count, alpha):
+    node_error, weight_error = _rule_errors(
+        quadrature._jacobi01(count, alpha), _reference_rule(count, alpha)
+    )
+    assert node_error <= 3e-14
+    assert weight_error <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 1e4])
+@pytest.mark.parametrize("count", RULE_COUNTS)
+def test_jacobi_rule_against_mpmath_at_large_alpha(count, alpha):
+    node_error, weight_error = _rule_errors(
+        quadrature._jacobi01(count, alpha), _reference_rule(count, alpha)
+    )
+    assert node_error <= 1e-12
+    assert weight_error <= 1e-12
+
+
+@pytest.mark.parametrize("count", RULE_COUNTS)
+def test_laguerre_rule_against_mpmath(count):
+    node_error, weight_error = _rule_errors(quadrature._laguerre(count), _reference_rule(count))
+    assert node_error <= 3e-14
+    assert weight_error <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 1e4, 1e200])
+def test_ball_radial_weights_keep_their_mass_at_large_alpha(alpha):
+    # the Jacobi mass over [0, 1] is 1/(alpha+1); on [-1, 1] it would carry
+    # a factor 2^(alpha+1) beyond the float range
+    grid = quadrature.QuadratureGrid.for_ball(1, alpha)
+    assert math.fsum(grid.radial_weights) == pytest.approx(1.0 / (alpha + 1.0), rel=1e-12)
+
+
+def test_ball_rule_beyond_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        quadrature.QuadratureGrid.for_ball(1, 1e300)
 
 
 def test_grid_validation(ball_grid_a0, gauss_grid):
