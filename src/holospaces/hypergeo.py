@@ -191,9 +191,10 @@ def eval_pfq(
 
     Stops once |t_k| <= tol * |partial sum| for three consecutive terms; the
     reported error estimate is the magnitude of the first neglected term.
-    Raises DivergenceError when P = Q + 1 and |z| >= 1, and
-    NonconvergenceError (carrying the partial result) if the stop rule is not
-    met within ``max_terms`` terms.
+    Raises DivergenceError when P = Q + 1 and |z| >= 1, DomainError when a
+    term or the partial sum has finite parts but a modulus beyond the float
+    range, and NonconvergenceError (carrying the partial result) if the stop
+    rule is not met within ``max_terms`` terms.
 
     The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
     inlined, and the term ratio of the kernels' (3; 2) and (2; 2) shapes is
@@ -234,49 +235,54 @@ def eval_pfq(
     term = 1 + 0j
     small_streak = 0
     k = 0  # the term just added is t_k; k + 1 terms are summed
-    while True:
-        # the factor (a1+k)...(aP+k) / (b1+k)...(bQ+k), left to right
-        if shape == 3:
-            ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
-        elif shape == 2:
-            ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
-        else:
-            ratio = 1.0
-            for a in num:
-                ratio *= a + k
-            for b in den:
-                ratio /= b + k
-        nxt = term * (ratio / (k + 1)) * z
-        if small_streak >= _CONSECUTIVE_SMALL:
-            return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
-        if k + 1 >= max_terms:
-            break
-        term = nxt
-        k += 1
-        x = term.real
-        s = re_s + x
-        if abs(re_s) >= abs(x):
-            re_c += (re_s - s) + x
-        else:
-            re_c += (x - s) + re_s
-        re_s = s
-        x = term.imag
-        s = im_s + x
-        if abs(im_s) >= abs(x):
-            im_c += (im_s - s) + x
-        else:
-            im_c += (x - s) + im_s
-        im_s = s
-        size = abs(term)
-        re = re_s + re_c
-        im = im_s + im_c
-        # the cheap pre-check of the docstring; the exact test alone decides
-        if size > cutoff * (abs(re) + abs(im)):
-            small_streak = 0
-        elif size <= tol * abs(complex(re, im)):
-            small_streak += 1
-        else:
-            small_streak = 0
+    try:
+        while True:
+            # the factor (a1+k)...(aP+k) / (b1+k)...(bQ+k), left to right
+            if shape == 3:
+                ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
+            elif shape == 2:
+                ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
+            else:
+                ratio = 1.0
+                for a in num:
+                    ratio *= a + k
+                for b in den:
+                    ratio /= b + k
+            nxt = term * (ratio / (k + 1)) * z
+            if small_streak >= _CONSECUTIVE_SMALL:
+                return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
+            if k + 1 >= max_terms:
+                break
+            term = nxt
+            k += 1
+            x = term.real
+            s = re_s + x
+            if abs(re_s) >= abs(x):
+                re_c += (re_s - s) + x
+            else:
+                re_c += (x - s) + re_s
+            re_s = s
+            x = term.imag
+            s = im_s + x
+            if abs(im_s) >= abs(x):
+                im_c += (im_s - s) + x
+            else:
+                im_c += (x - s) + im_s
+            im_s = s
+            size = abs(term)
+            re = re_s + re_c
+            im = im_s + im_c
+            # the cheap pre-check of the docstring; the exact test alone decides
+            if size > cutoff * (abs(re) + abs(im)):
+                small_streak = 0
+            elif size <= tol * abs(complex(re, im)):
+                small_streak += 1
+            else:
+                small_streak = 0
+    except OverflowError as exc:  # abs() of a term or sum whose parts are finite
+        raise DomainError(
+            f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
+        ) from exc
     partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
     raise NonconvergenceError(
         f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",

@@ -257,6 +257,9 @@ class CoordinatePowers:
         self.count = math.prod(shape)
         self.coords = coords
         self._tables = {}
+        # spare pairs of complex arrays of one value per point, which series
+        # products fill instead of fresh arrays (see SeriesProduct)
+        self._spare_buffers = []
 
     def power(self, axis: int, exponent: int) -> np.ndarray:
         table = self._tables.get((axis, exponent))
@@ -350,7 +353,11 @@ def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
 def evaluate_series(f: TaylorSeries, points: CoordinatePowers) -> np.ndarray:
     """Vectorized polynomial evaluation at every point of a grid, from the
     grid's ``CoordinatePowers`` (see the module notes)."""
-    values = np.zeros(points.count, dtype=complex)
+    return _add_series(f, points, np.zeros(points.count, dtype=complex))
+
+
+def _add_series(f: TaylorSeries, points: CoordinatePowers, values: np.ndarray) -> np.ndarray:
+    """``values`` plus f at every point of the grid, summed into ``values``."""
     for p in canonical_order(f.coefficients):
         term = np.full(points.count, f.coefficients[p])
         for axis, exponent in enumerate(p):
@@ -362,18 +369,37 @@ def evaluate_series(f: TaylorSeries, points: CoordinatePowers) -> np.ndarray:
 
 class SeriesProduct:
     """The integrand f * conj(g) of two series; ``integrate_*`` evaluate it
-    from the grid's power table."""
+    from the grid's power table.
+
+    f and g are summed into a pair of arrays that the table keeps from one
+    call to the next, so a product allocates only its result: on large grids
+    four fresh arrays per product made the allocator hand memory back to the
+    system and fault it in again on every call.  A call that finds no spare
+    pair (the first, or one running while another holds it) makes its own.
+    """
 
     def __init__(self, f: TaylorSeries, g: TaylorSeries):
         self.f, self.g = f, g
 
     def __call__(self, points: CoordinatePowers) -> np.ndarray:
-        if self.f == self.g:
-            values = evaluate_series(self.f, points)
-            # not v * np.conj(v): numpy may reuse the large temporary
-            # conj(v) as the output and multiply in the other order
-            return np.multiply(values, np.conj(values))
-        return evaluate_series(self.f, points) * np.conj(evaluate_series(self.g, points))
+        spare = points._spare_buffers
+        try:
+            a, b = spare.pop()
+        except IndexError:
+            a, b = np.empty(points.count, dtype=complex), np.empty(points.count, dtype=complex)
+        try:
+            a.fill(0.0)
+            _add_series(self.f, points, a)
+            if self.f == self.g:
+                np.conj(a, out=b)
+            else:
+                b.fill(0.0)
+                np.conj(_add_series(self.g, points, b), out=b)
+            # f times conj(g) in this order, as the expression
+            # evaluate_series(f) * np.conj(evaluate_series(g)) computes it
+            return np.multiply(a, b)
+        finally:
+            spare.append((a, b))
 
 
 @lru_cache(maxsize=64)
@@ -401,9 +427,10 @@ def default_grid(space, capacity: int = DEFAULT_CAPACITY) -> QuadratureGrid:
     return build_grid(capacity)
 
 
-def _weighted_integral(space, f: TaylorSeries, g: TaylorSeries, grid: QuadratureGrid) -> complex:
-    """<f, g> in the plain weighted L^2 sense (no derivative terms)."""
-    _, integrate = _rule(space)
+def _weighted_integral(integrate, f: TaylorSeries, g: TaylorSeries,
+                       grid: QuadratureGrid) -> complex:
+    """<f, g> in the plain weighted L^2 sense (no derivative terms), by the
+    space's ``integrate`` of ``_rule``."""
     return integrate(SeriesProduct(f, g), grid, degree=max(f.max_degree, g.max_degree, 0))
 
 
@@ -412,24 +439,26 @@ def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
     """Order-m inner product evaluated from its defining integrals.
 
     Low-degree parts pair in the plain weighted norm; the rest pairs through
-    all order-m partials with multinomial weights m!/q!.
+    all order-m partials with multinomial weights m!/q!.  A norm (g is f)
+    splits and differentiates once.
     """
     if grid is None:
         grid = default_grid(space)
+    _, integrate = _rule(space)
     m = space.m
     f1, f2 = f.split(m)
-    g1, g2 = g.split(m)
+    g1, g2 = (f1, f2) if g is f else g.split(m)
     total = 0j
     if f1.coefficients and g1.coefficients:
-        total = _weighted_integral(space, f1, g1, grid)
+        total = _weighted_integral(integrate, f1, g1, grid)
     mfact = math.factorial(m)
     for q in mi.enumerate_indices(space.n, m):
         df = f2.derivative(q)
-        dg = g2.derivative(q)
+        dg = df if g is f else g2.derivative(q)
         if not df.coefficients or not dg.coefficients:
             continue
         weight = mfact // mi.multifactorial(q)  # m!/q!, exact
-        total += weight * _weighted_integral(space, df, dg, grid)
+        total += weight * _weighted_integral(integrate, df, dg, grid)
     return total
 
 

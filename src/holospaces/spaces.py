@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from typing import Protocol
 
 from . import multiindex as mi
@@ -34,6 +35,10 @@ from .hypergeo import (
 from .taylor import TaylorSeries, as_point, canonical_order, point_inner, vector_norm
 
 DEFAULT_SERIES_DEGREE = 200
+
+_EPS = sys.float_info.epsilon
+_NORMAL_MIN = sys.float_info.min
+_ORDER_ZERO_ROUNDING = 4.0  # eps multiple of the m = 0 closed-form bound
 
 
 class Space(Protocol):
@@ -81,7 +86,7 @@ def _degree_sum(
     compensation of ``hypergeo.CompensatedSum``, inlined per component.
     ``low_moduli`` takes |c_k| of every degree below m, as the series
     oracle always has, so that a term with finite parts but an overflowing
-    modulus raises OverflowError there; the closed kernel never took them.
+    modulus raises DomainError there; the closed kernel never took them.
     """
     extra = space.pfq_extra
     if extra:
@@ -90,38 +95,41 @@ def _degree_sum(
     re_s = re_c = im_s = im_c = 0.0
     term = 1 + 0j
     last = 1.0
-    for k in range(max_degree + 1):
-        if k == m:
-            mfact = math.factorial(m)
-            term = t**m / (mfact * mfact)
-        elif k:
-            if k < m:
-                j, num, den = k - 1, 1, k
+    try:
+        for k in range(max_degree + 1):
+            if k == m:
+                mfact = math.factorial(m)
+                term = t**m / (mfact * mfact)
+            elif k:
+                if k < m:
+                    j, num, den = k - 1, 1, k
+                else:
+                    j = k - 1 - m
+                    num, den = j + 1, k * k
+                if extra:
+                    term = term * ((a + j) * num / den) * x
+                else:
+                    term = term * x * num / den
+            v = term.real
+            s = re_s + v
+            if abs(re_s) >= abs(v):
+                re_c += (re_s - s) + v
             else:
-                j = k - 1 - m
-                num, den = j + 1, k * k
-            if extra:
-                term = term * ((a + j) * num / den) * x
+                re_c += (v - s) + re_s
+            re_s = s
+            v = term.imag
+            s = im_s + v
+            if abs(im_s) >= abs(v):
+                im_c += (im_s - s) + v
             else:
-                term = term * x * num / den
-        v = term.real
-        s = re_s + v
-        if abs(re_s) >= abs(v):
-            re_c += (re_s - s) + v
-        else:
-            re_c += (v - s) + re_s
-        re_s = s
-        v = term.imag
-        s = im_s + v
-        if abs(im_s) >= abs(v):
-            im_c += (im_s - s) + v
-        else:
-            im_c += (v - s) + im_s
-        im_s = s
-        if low_moduli and k < m:
+                im_c += (v - s) + im_s
+            im_s = s
+            if low_moduli and k < m:
+                last = abs(term)
+        if max_degree >= m:
             last = abs(term)
-    if max_degree >= m:
-        last = abs(term)
+    except OverflowError as exc:  # t^m, or abs() of a term whose parts are finite
+        raise DomainError(f"kernel series term {k} has a modulus beyond the float range") from exc
     return complex(re_s + re_c, im_s + im_c), last
 
 
@@ -153,14 +161,75 @@ def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
     return HypergeometricSpec((1.0, 1.0, *extra), (m + 1.0, m + 1.0))
 
 
+def _log1m(x: complex) -> complex:
+    """log(1 - x) for |x| < 1, to full relative accuracy.
+
+    Near 0 the modulus goes through log1p(|1 - x|^2 - 1), which cancels as
+    x -> 1; from |x| = 1/2 on, log(hypot) is the accurate form, as 1 - Re x
+    is exact (Re x >= 1/2) or |1 - x| is bounded away from 0.
+    """
+    xr, xi = x.real, x.imag
+    if abs(x) < 0.5:
+        modulus = 0.5 * math.log1p(xr * (xr - 2.0) + xi * xi)
+    else:
+        modulus = math.log(math.hypot(1.0 - xr, xi))
+    return complex(modulus, math.atan2(-xi, 1.0 - xr))
+
+
+def _kernel_order_zero(space: Space, x: complex) -> tuple[complex, SeriesResult]:
+    """The m = 0 kernel prefactor * pFq(1, 1, *extra; 1, 1; x) in closed form.
+
+    The pFq is 1F0(a;; x) = (1 - x)^(-a) on the ball (extra = (a,)) and
+    0F0(;; x) = e^x on the plane, so the kernel is exp(E) with
+    E = log(prefactor) - a log(1 - x), or log(prefactor) + x.  With the
+    prefactor folded into E, the value is the only result of exp, and it is
+    returned only when it lies in the normal float range (DomainError
+    otherwise).  The record holds the kernel value itself, one evaluation,
+    and a rounding bound on its error: exp turns an absolute error dE in E
+    into a relative error dE, and E is formed with dE of a few eps times
+    n + |log prefactor| + |E - log prefactor| + kappa.  Here n counts the
+    factors of the prefactor, and kappa = |a x/(1 - x)| on the ball and |x|
+    on the plane is the sensitivity of E to the rounding of x.
+    """
+    prefactor = space.kernel_prefactor()
+    if not _NORMAL_MIN <= prefactor < math.inf:
+        raise DomainError(f"kernel prefactor {prefactor:.6g} is outside the normal float range")
+    log_prefactor = math.log(prefactor)
+    if space.pfq_extra:
+        (a,) = space.pfq_extra
+        core = -a * _log1m(x)
+    else:
+        core = x
+    try:
+        value = cmath.exp(log_prefactor + core)
+        size = abs(value)
+    except (OverflowError, ValueError):  # Re E beyond the float range, or E not finite
+        size = math.inf
+    if not _NORMAL_MIN <= size < math.inf:
+        raise DomainError(f"the kernel at pFq argument x = {x} is outside the normal float range")
+    if space.pfq_extra:
+        kappa = a * abs(x) / abs(1.0 - x)
+    else:
+        kappa = abs(x)  # finite: Re x is moderate once exp(E) is in range
+    spread = space.n + abs(log_prefactor) + abs(core) + kappa
+    return value, SeriesResult(value, 1, _ORDER_ZERO_ROUNDING * _EPS * spread * size)
+
+
 def kernel_closed_detail(
     space: Space,
     t: complex,
     tol: float = 1e-14,
     max_terms: int = 10000,
 ) -> tuple[complex, SeriesResult]:
-    """Closed-form kernel at t = <z, w>, plus the pFq evaluation record."""
+    """Closed-form kernel at t = <z, w>, plus its evaluation record.
+
+    For m >= 1 the record is ``eval_pfq``'s on the pFq factor; m = 0 is
+    elementary and evaluated in closed form (see ``_kernel_order_zero``),
+    where ``tol`` and ``max_terms`` play no part.
+    """
     t, x = _argument(space, t)
+    if space.m == 0:
+        return _kernel_order_zero(space, x)
     low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
     f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
     mfact = math.factorial(space.m)

@@ -81,6 +81,19 @@ class TaylorSeries:
                 clean[q] = a
         object.__setattr__(self, "coefficients", clean)
 
+    @classmethod
+    def _from_valid(cls, dimension: int, coefficients: dict) -> TaylorSeries:
+        """A series from nonzero complex coefficients whose keys are exponent
+        tuples of length ``dimension`` already validated, taken as they are.
+
+        ``split`` and ``derivative`` derive their keys from a valid series,
+        so the checks of ``__post_init__`` would only repeat themselves.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "dimension", dimension)
+        object.__setattr__(series, "coefficients", coefficients)
+        return series
+
     @property
     def max_degree(self) -> int:
         """Largest total degree with a nonzero coefficient; -1 for the zero series."""
@@ -105,7 +118,7 @@ class TaylorSeries:
             raise ValueError(f"split order must be >= 0, got {m}")
         low = {p: a for p, a in self.coefficients.items() if sum(p) < m}
         high = {p: a for p, a in self.coefficients.items() if sum(p) >= m}
-        return TaylorSeries(self.dimension, low), TaylorSeries(self.dimension, high)
+        return self._from_valid(self.dimension, low), self._from_valid(self.dimension, high)
 
     def derivative(self, q) -> TaylorSeries:
         """Mixed partial of multi-order q; term a_p z^p maps to a_p p!/(p-q)! z^(p-q).
@@ -124,8 +137,9 @@ class TaylorSeries:
             factor = 1
             for pj, qj in zip(p, qt):
                 factor *= math.perm(pj, qj)
+            # a nonzero coefficient times a positive integer stays nonzero
             out[tuple(pj - qj for pj, qj in zip(p, qt))] = a * factor
-        return TaylorSeries(self.dimension, out)
+        return self._from_valid(self.dimension, out)
 
     def to_json_dict(self) -> dict:
         """Wire form {"n": int, "terms": [{"p": [...], "re": f, "im": f}]}."""

@@ -338,8 +338,9 @@ def test_power_table_integrals_bit_identical_to_reference(kind, capacity, n):
         spaces = [bargmann.BargmannDirichletSpace(n, nu, 0) for nu in (1.0, 2.0)]
     pairs, polynomials = _pairs(n, capacity, seed=capacity)
     for space in spaces:
+        _, integrate = quadrature._rule(space)
         for f, g in pairs:
-            got = quadrature._weighted_integral(space, f, g, grid)
+            got = quadrature._weighted_integral(integrate, f, g, grid)
             assert repr(got) == repr(_reference_integral(space, f, g, grid)), (space, f, g)
         if kind == "ball":
             key, scale = space.radius, lambda pts: space.radius * pts
