@@ -8,8 +8,8 @@ prefactor alone (Binet regime), the hypergeometric factor alone (large
 parameter against small argument), and the full kernels side by side.
 
 No Gamma is formed directly: alpha reaches 1e4 already at R = 100 and raw
-Gamma overflows long before that.  The ball space supplies its prefactor as
-the rising factorial (alpha+1)_n and its norms through gamma_ratio.
+Gamma overflows long before that.  The ball space forms its prefactor
+(alpha+1)_n and its norms 1/(alpha+1)_(j+n) as Pochhammer products.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ oracles can demonstrate the difference numerically.
 
 This module holds what is particular to the plane: the space parameters with
 their kernel prefactor and 2F2 argument, and the monomial norms in both
-forms.  Norms, inner products, kernels, series oracles, ``reproduce`` and
-``pointwise_bound`` are the shared algorithms of ``holospaces.spaces``, bound
-here under their usual names.
+forms.  Norms, inner products, kernels, series oracles, ``reproduce``,
+``pointwise_bound`` and the normalized coefficient are the shared algorithms
+of ``holospaces.spaces``, bound here under their usual names.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_enumerated,
     kernel_series_from_inner,
     kernel_series_with_tail,
+    monomial_norm,
+    normalized_norm_sq,
     pointwise_bound,
     reproduce,
     require_finite,
@@ -80,20 +82,18 @@ class BargmannDirichletSpace:
         return self.nu * t
 
 
-def _validated(space: BargmannDirichletSpace, p) -> tuple[tuple[int, ...], int]:
-    q = mi.as_multiindex(p)
-    if len(q) != space.n:
-        raise ValueError(f"index {q} has length {len(q)}, space dimension is {space.n}")
-    return q, mi.degree(q)
+@monomial_norm
+def _norm_sq(space: BargmannDirichletSpace, q, k, m_sign: int) -> float:
+    """||z^p||^2 from the checked q = p and k = |p|, with nu^(m_sign m - k) from m on."""
+    base = (math.pi / space.nu) ** space.n * float(mi.multifactorial(q))
+    if k < space.m:
+        return base * space.nu ** (-k)
+    return base * space.nu ** (m_sign * space.m - k) * math.perm(k, space.m)
 
 
 def monomial_norm_sq(space: BargmannDirichletSpace, p) -> float:
     """Squared norm of z^p in the space (kernel-consistent nu powers)."""
-    q, k = _validated(space, p)
-    base = (math.pi / space.nu) ** space.n * float(mi.multifactorial(q))
-    if k < space.m:
-        return base * space.nu ** (-k)
-    return base * space.nu ** (space.m - k) * math.perm(k, space.m)
+    return _norm_sq(space, p, 1)
 
 
 def monomial_norm_sq_nu_denominator_variant(space: BargmannDirichletSpace, p) -> float:
@@ -102,8 +102,4 @@ def monomial_norm_sq_nu_denominator_variant(space: BargmannDirichletSpace, p) ->
     Inconsistent with both the 2F2 kernel and direct Gaussian integration;
     exposed only so verification runs can exhibit the failure.
     """
-    q, k = _validated(space, p)
-    base = (math.pi / space.nu) ** space.n * float(mi.multifactorial(q))
-    if k < space.m:
-        return base * space.nu ** (-k)
-    return base * space.nu ** (-space.m - k) * math.perm(k, space.m)
+    return _norm_sq(space, p, -1)

@@ -23,10 +23,10 @@ term by term (and the flat limit of the scaled spaces).
 
 This module holds what is particular to the ball: the space parameters with
 their kernel prefactor, 3F2 parameter and |t| < R^2 check, the monomial
-norms, the Gamma-route coefficient table and the displayed evaluation
-constant.  Norms, inner products, kernels, series oracles, ``reproduce`` and
-``pointwise_bound`` are the shared algorithms of ``holospaces.spaces``, bound
-here under their usual names.
+norms and the displayed evaluation constant.  Norms, inner products, kernels,
+series oracles, ``reproduce``, ``pointwise_bound`` and the normalized
+coefficient are the shared algorithms of ``holospaces.spaces``, bound here
+under their usual names.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import ClassVar
 
 from . import multiindex as mi
 from .errors import DomainError
-from .hypergeo import CompensatedSum, gamma_ratio, pochhammer
+from .hypergeo import CompensatedSum, pochhammer
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
     DEFAULT_SERIES_DEGREE,
     function_norm_sq,
@@ -49,14 +49,16 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
     kernel_series_enumerated,
     kernel_series_from_inner,
     kernel_series_with_tail,
+    monomial_norm,
+    normalized_norm_sq,
     pointwise_bound,
     reproduce,
     require_finite,
 )
 from .taylor import as_point, vector_norm
 
-# math.gamma overflows shortly above this; switch to log-space ratios.
-_GAMMA_DIRECT_MAX = 170.0
+# the coefficient column of ``norms`` under its earlier name
+gamma_coeff = normalized_norm_sq
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,7 @@ class BergmanDirichletSpace:
         return monomial_norm_sq(self, p)
 
     def kernel_prefactor(self) -> float:
-        # Gamma(alpha+n+1)/Gamma(alpha+1) as (alpha+1)_n: gamma_ratio would take the
-        # offset n as fl(alpha+n+1) - fl(alpha+1), which loses it from alpha = 2^53 on
+        # Gamma(alpha+n+1)/Gamma(alpha+1) as (alpha+1)_n, exact in the offset n
         rising = pochhammer(self.alpha + 1.0, self.n)
         return rising / (math.pi**self.n * self.radius ** (2 * self.n))
 
@@ -103,37 +104,18 @@ class BergmanDirichletSpace:
         return t / r2
 
 
-def _coeff_parts(space: BergmanDirichletSpace, p) -> tuple[int, float, int]:
-    """Exact integer numerator, Gamma argument, and R exponent for ||z^p||^2."""
-    q = mi.as_multiindex(p)
-    if len(q) != space.n:
-        raise ValueError(f"index {q} has length {len(q)}, space dimension is {space.n}")
-    k = mi.degree(q)
+@monomial_norm
+def monomial_norm_sq(space: BergmanDirichletSpace, q, k) -> float:
+    """||z^p||^2 from the checked q = p and k = |p| (see ``monomial_norm``), where
+    Gamma(alpha+1)/Gamma(j+alpha+n+1) is 1/(alpha+1)_(j+n), j = k below m, k - m from m."""
+    num = mi.multifactorial(q)
     if k < space.m:
-        num = mi.multifactorial(q)
-        arg = k + space.alpha + space.n + 1
-        r_exp = 2 * space.n + 2 * k
+        length = k + space.n
     else:
-        num = mi.multifactorial(q) * math.perm(k, space.m)
-        arg = k - space.m + space.alpha + space.n + 1
-        r_exp = 2 * space.n + 2 * (k - space.m)
-    return num, arg, r_exp
-
-
-def gamma_coeff(space: BergmanDirichletSpace, p) -> float:
-    """Coefficient-space weight: p!/Gamma(|p|+alpha+n+1) below order m, with the
-    falling-factorial factor and shifted Gamma argument at or above it."""
-    num, arg, _ = _coeff_parts(space, p)
-    if arg <= _GAMMA_DIRECT_MAX:
-        return float(num) / math.gamma(arg)
-    return math.exp(math.log(num) - math.lgamma(arg))
-
-
-def monomial_norm_sq(space: BergmanDirichletSpace, p) -> float:
-    """Squared norm of the monomial z^p in the space."""
-    num, arg, r_exp = _coeff_parts(space, p)
-    ratio = gamma_ratio(space.alpha + 1.0, arg)  # 1/Gamma stays finite for large alpha
-    return math.pi**space.n * float(num) * ratio * space.radius**r_exp
+        num *= math.perm(k, space.m)
+        length = k - space.m + space.n
+    ratio = 1.0 / pochhammer(space.alpha + 1.0, length)
+    return math.pi**space.n * float(num) * ratio * space.radius ** (2 * length)
 
 
 def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
@@ -156,4 +138,4 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
         acc.add(term)
         term = term * ((a3 + k) / (k + 1)) * r
     acc.add((1.0 - r * r) ** (-a3))
-    return gamma_ratio(a3, space.alpha + 1.0) / math.pi**space.n * acc.value
+    return space.kernel_prefactor() * acc.value

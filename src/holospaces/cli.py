@@ -130,12 +130,8 @@ def cmd_norms(args) -> int:
     rows = []
     for k in range(args.max_total_degree + 1):
         for p in mi.enumerate_indices(args.n, k):
-            if args.space == "ball":
-                coeff = bergman.gamma_coeff(space, p)
-                norm_sq = bergman.monomial_norm_sq(space, p)
-            else:
-                norm_sq = bargmann.monomial_norm_sq(space, p)
-                coeff = norm_sq / (math.pi / space.nu) ** space.n
+            norm_sq = space.monomial_norm_sq(p)
+            coeff = spaces.normalized_norm_sq(space, p)
             rows.append({"p": " ".join(map(str, p)), "coeff": coeff, "norm_sq": norm_sq})
     meta = _space_meta(args)
     meta.update(command="norms", max_total_degree=args.max_total_degree)

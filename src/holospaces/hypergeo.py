@@ -12,12 +12,13 @@ regime).  The terms are summed with the Neumaier compensation of
 inlines those float operations, in the same order, into its term loop, so
 that a series of thousands of terms makes no per-term method calls.  Gamma
 ratios are likewise never computed through raw Gamma: an integer parameter
-offset uses the exact product recurrence and everything else goes through a
-cancellation-free Stirling difference.
+offset is a Pochhammer product and everything else goes through a
+cancellation-free Stirling difference, which serves ``gamma_ratio`` alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -135,7 +136,7 @@ def _stirling_tail(x: float) -> float:
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for a, b > 0 without forming either Gamma.
 
-    Integer offsets a - b use the exact product recurrence; otherwise both
+    Integer offsets a - b are a Pochhammer product; otherwise both
     arguments are lifted above 10 and the log-Gamma difference is assembled
     from log1p(d/b) so that no large-magnitude terms cancel.  Relative error
     stays below 1e-12 up to arguments of 1e4 and nothing overflows while the
@@ -143,19 +144,10 @@ def gamma_ratio(a: float, b: float) -> float:
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"gamma_ratio requires positive arguments, got a={a}, b={b}")
-    if a == b:
-        return 1.0
     d = a - b
     if d == round(d) and abs(d) <= _MAX_INTEGER_OFFSET:
         k = int(round(d))
-        prod = 1.0
-        if k > 0:
-            for j in range(k):
-                prod *= b + j
-            return prod
-        for j in range(-k):
-            prod *= a + j
-        return 1.0 / prod
+        return pochhammer(b, k) if k > 0 else 1.0 / pochhammer(a, -k)
     num_corr = 1.0
     aa = a
     while aa < _STIRLING_MIN:
@@ -194,7 +186,8 @@ def eval_pfq(
     Raises DivergenceError when P = Q + 1 and |z| >= 1, DomainError when a
     term or the partial sum has finite parts but a modulus beyond the float
     range, and NonconvergenceError (carrying the partial result) if the stop
-    rule is not met within ``max_terms`` terms.
+    rule is not met within ``max_terms`` terms (DomainError if the partial
+    sum is then no longer finite).
 
     The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
     inlined, and the term ratio of the kernels' (3; 2) and (2; 2) shapes is
@@ -284,6 +277,8 @@ def eval_pfq(
             f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
         ) from exc
     partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
+    if not cmath.isfinite(partial.value):
+        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({partial.value})")
     raise NonconvergenceError(
         f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
         partial=partial,

@@ -65,6 +65,35 @@ def require_finite(**params) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def monomial_norm(formula):
+    """Make formula(space, q, |q|, ...) a family's norm_sq(space, p, ...): p is
+    checked against the dimension, and a value beyond the float range (an
+    overflowing power or float(int), or an underflow to 0) is a DomainError."""
+
+    @functools.wraps(formula)
+    def norm_sq(space, p, *args):
+        q = mi.as_multiindex(p)
+        if len(q) != space.n:
+            raise ValueError(f"index {q} has length {len(q)}, space dimension is {space.n}")
+        try:
+            value = formula(space, q, mi.degree(q), *args)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            what = "underflows to 0" if value == 0.0 else "overflows the float range"
+            raise DomainError(f"||z^{q}||^2 {what}")
+        return value
+
+    return norm_sq
+
+
+def normalized_norm_sq(space: Space, p) -> float:
+    """||z^p||^2/||1||^2, the squared norm under the weight scaled to mass 1:
+    p! [|p|!/(|p|-m)!] R^(2j)/(alpha+n+1)_j on the ball, p! [...]/nu^j on the
+    plane (j = |p| below order m, |p| - m from m on; the bracket from m on)."""
+    return space.monomial_norm_sq(p) / space.monomial_norm_sq((0,) * space.n)
+
+
 def _argument(space: Space, t) -> tuple[complex, complex]:
     t = complex(t)
     if not cmath.isfinite(t):
@@ -215,6 +244,14 @@ def _kernel_order_zero(space: Space, x: complex) -> tuple[complex, SeriesResult]
     return value, SeriesResult(value, 1, _ORDER_ZERO_ROUNDING * _EPS * spread * size)
 
 
+def _with_prefactor(space: Space, bracket: complex, x: complex) -> complex:
+    """prefactor * bracket; DomainError when overflowing parts make it inf or NaN."""
+    value = space.kernel_prefactor() * bracket
+    if not cmath.isfinite(value):
+        raise DomainError(f"the kernel at pFq argument x = {x} is not a finite float ({value})")
+    return value
+
+
 def kernel_closed_detail(
     space: Space,
     t: complex,
@@ -233,8 +270,7 @@ def kernel_closed_detail(
     low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
     f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
     mfact = math.factorial(space.m)
-    value = space.kernel_prefactor() * (low + t**space.m / (mfact * mfact) * f.value)
-    return value, f
+    return _with_prefactor(space, low + t**space.m / (mfact * mfact) * f.value, x), f
 
 
 def kernel_closed_from_inner(
@@ -279,7 +315,7 @@ def kernel_series_with_tail(
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     t, x = _argument(space, t)
     value, last = _degree_sum(space, t, x, max_degree, low_moduli=True)
-    return space.kernel_prefactor() * value, max_degree + 1, last * space.series_tail_factor
+    return _with_prefactor(space, value, x), max_degree + 1, last * space.series_tail_factor
 
 
 def kernel_series_from_inner(
@@ -337,13 +373,7 @@ def pointwise_bound(space: Space, z) -> float:
     return math.sqrt(value.real)
 
 
-def reproduce(
-    space: Space,
-    f: TaylorSeries,
-    w,
-    tol: float = 1e-14,
-    max_terms: int = 10000,
-) -> complex:
+def reproduce(space: Space, f: TaylorSeries, w) -> complex:
     """Pair f with the kernel section K(., w); equals f(w) for members.
 
     The kernel section is truncated at deg(f), which is exact for

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_polynomial
-from holospaces import bergman
+from holospaces import bergman, spaces
 from holospaces.errors import DomainError
 from holospaces.hypergeo import gamma_ratio
 from holospaces.taylor import TaylorSeries, monomial, zero
@@ -45,9 +45,12 @@ def test_monomial_norm_radius_scaling():
 
 
 def test_gamma_coeff_anchors():
+    # the norms table's coefficient ||z^p||^2/||1||^2, under its earlier name
+    assert bergman.gamma_coeff is spaces.normalized_norm_sq
     space = bergman.BergmanDirichletSpace(n=2, alpha=0.0, m=1)
-    assert bergman.gamma_coeff(space, (0, 0)) == pytest.approx(0.5, rel=1e-14)
-    assert bergman.gamma_coeff(space, (2, 0)) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert bergman.gamma_coeff(space, (0, 0)) == 1.0
+    # p! |p| / (alpha+n+1)_1 = 2 * 2 / 3
+    assert bergman.gamma_coeff(space, (2, 0)) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def test_gamma_coeff_consistent_with_norm():
@@ -57,7 +60,9 @@ def test_gamma_coeff_consistent_with_norm():
         m = int(rng.integers(0, 4))
         space = bergman.BergmanDirichletSpace(n=2, alpha=alpha, m=m)
         p = tuple(int(x) for x in rng.integers(0, 5, size=2))
-        expected = math.pi**2 * math.gamma(alpha + 1.0) * bergman.gamma_coeff(space, p)
+        # ||1||^2 is the mass pi^2 Gamma(alpha+1)/Gamma(alpha+3) of the weight
+        mass = math.pi**2 * math.gamma(alpha + 1.0) / math.gamma(alpha + 3.0)
+        expected = mass * bergman.gamma_coeff(space, p)
         assert bergman.monomial_norm_sq(space, p) == pytest.approx(expected, rel=1e-12)
 
 

@@ -121,8 +121,9 @@ def test_norms_table_ball(capsys):
     rows = _csv_rows(out)
     first = rows[0]
     assert first["p"] == "0 0"
-    assert float(first["coeff"]) == pytest.approx(0.5, rel=1e-13)
+    assert float(first["coeff"]) == 1.0  # ||z^p||^2 / ||1||^2
     assert float(first["norm_sq"]) == pytest.approx(math.pi**2 / 2, rel=1e-13)
+    assert float(rows[1]["coeff"]) == pytest.approx(1.0 / 3.0, rel=1e-13)  # 1/(alpha+n+1)
     assert all(float(r["norm_sq"]) > 0 for r in rows)
     assert len(rows) == 6  # degrees 0..2 in two variables
 
@@ -224,6 +225,28 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
     rows = _csv_rows(out)
     assert [r["error_ratio"] for r in rows] == [""] * 3
     assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "ball", "--n", "2", "--alpha", "0.5", "--radius", "1e100"],
+    ["--space", "fock", "--n", "2", "--nu", "1e-200", "--m", "1"],
+], ids=["ball-radius", "fock-nu"])
+def test_norms_beyond_float_range_exit_2(capsys, argv):
+    code, out, err = _run(capsys, ["norms", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflows the float range" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "series"])
+def test_non_finite_kernel_exits_2(capsys, method):
+    code, out, err = _run(capsys, [
+        "kernel", "--space", "ball", "--n", "1", "--alpha", "0.5", "--m", "2",
+        "--radius", "1e100", "--t", "1e199,1e199", "--method", method,
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not a finite float" in err
 
 
 @pytest.mark.parametrize("suite", ["norms", "orthogonality", "sobolev"])

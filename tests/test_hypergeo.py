@@ -252,13 +252,16 @@ def _reference_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
 
 
 def _outcome(f, *args):
-    """(kind, repr) of a result's (value, terms, estimate), or of the exception and its partial."""
+    """(kind, repr, finite) of a result's (value, terms, estimate), or of the
+    exception and its partial; ``finite`` tells whether the sum ended finite."""
     try:
         r = f(*args)
     except (DivergenceError, DomainError, NonconvergenceError, OverflowError) as exc:
         p = getattr(exc, "partial", None)
-        return type(exc).__name__, repr((str(exc), p and (p.value, p.terms_used, p.error_estimate)))
-    return "ok", repr((r.value, r.terms_used, r.error_estimate))
+        return (type(exc).__name__,
+                repr((str(exc), p and (p.value, p.terms_used, p.error_estimate))),
+                p is None or cmath.isfinite(p.value))
+    return "ok", repr((r.value, r.terms_used, r.error_estimate)), cmath.isfinite(r.value)
 
 
 def _pfq_grid():
@@ -309,11 +312,13 @@ def test_eval_pfq_bit_identical_to_reference_loop():
         spec = HypergeometricSpec(num, den)
         expected = _outcome(_reference_eval_pfq, spec, z, tol, max_terms)
         got = _outcome(eval_pfq, spec, z, tol, max_terms)
-        if expected[0] == "OverflowError":
-            # the reference loop's abs() overflows; the package raises DomainError
+        if expected[0] == "OverflowError" or not expected[2]:
+            # the reference loop's abs() overflows, or its budget runs out on a
+            # non-finite sum; the package raises DomainError
             assert got[0] == "DomainError", (num, den, z, tol, max_terms)
         else:
             assert got == expected, (num, den, z, tol, max_terms)
-        kinds.add(expected[0])
+        kinds.add(expected[0] if expected[2] else "non-finite " + expected[0])
     # the grid reaches the stop rule and every error path, hypot overflow included
-    assert kinds == {"ok", "NonconvergenceError", "DivergenceError", "OverflowError"}
+    assert kinds == {"ok", "NonconvergenceError", "DivergenceError", "OverflowError",
+                     "non-finite NonconvergenceError"}

@@ -92,17 +92,20 @@ def _reference_closed_detail(space, t):
 
 
 def _outcome(f, *args):
-    """(kind, repr) of the result, or of the exception with its partial result."""
+    """(kind, repr, finite) of the result, or of the exception with its
+    partial result; ``finite`` tells whether a returned kernel value is finite."""
     try:
-        return "ok", repr(f(*args))
+        r = f(*args)
     except (DomainError, NonconvergenceError, OverflowError) as exc:
-        return type(exc).__name__, repr((str(exc), getattr(exc, "partial", None)))
+        return type(exc).__name__, repr((str(exc), getattr(exc, "partial", None))), True
+    return "ok", repr(r), cmath.isfinite(r[0])
 
 
 def _assert_same_outcome(got, expected, case):
     """``got`` repeats ``expected``, except that where the reference loop's
-    abs() overflows, the package raises DomainError instead."""
-    if expected[0] == "OverflowError":
+    abs() overflows or its kernel value is not finite, the package raises
+    DomainError instead."""
+    if expected[0] == "OverflowError" or not expected[2]:
         assert got[0] == "DomainError", case
     else:
         assert got == expected, case
@@ -141,6 +144,18 @@ def test_kernel_closed_bit_identical_to_reference_low_part():
             expected = _outcome(_reference_closed_detail, space, t)
             got = _outcome(bergman.kernel_closed_detail, space, t)
             _assert_same_outcome(got, expected, (space, t))
+
+
+def test_non_finite_kernels_are_domain_errors():
+    # t^m overflows while the prefactor underflows: the product was NaN
+    ball = bergman.BergmanDirichletSpace(1, 0.5, 2, 1e100)
+    for call in (bergman.kernel_closed_detail, bergman.kernel_series_with_tail):
+        with pytest.raises(DomainError, match="not a finite float"):
+            call(ball, 1e199 + 1e199j)
+    for m in (0, 1):
+        fock = bargmann.BargmannDirichletSpace(1, 1.5e308, m)
+        with pytest.raises(DomainError, match="not a finite float"):
+            bargmann.kernel_series_with_tail(fock, 1 + 1j)
 
 
 def test_kernel_points_keep_their_values_and_error_messages():
