@@ -124,6 +124,7 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
     Only stated on the unit ball:
     (1/pi^n) Gamma(alpha+n+1)/Gamma(alpha+1) *
         (sum_{k<m} (alpha+n+1)_k |z|^k / k! + (1-|z|^2)^-(alpha+n+1)).
+    A constant beyond the float range raises DomainError.
     """
     if space.radius != 1.0:
         raise ValueError("the displayed evaluation constant is stated on the unit ball only")
@@ -137,5 +138,13 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
     for k in range(space.m):
         acc.add(term)
         term = term * ((a3 + k) / (k + 1)) * r
-    acc.add((1.0 - r * r) ** (-a3))
-    return space.kernel_prefactor() * acc.value
+    try:
+        acc.add((1.0 - r * r) ** (-a3))
+    except OverflowError as exc:
+        raise DomainError(
+            f"(1 - |z|^2)^-(alpha+n+1) at |z| = {r:.6g} is beyond the float range"
+        ) from exc
+    value = space.kernel_prefactor() * acc.value
+    if not math.isfinite(value):
+        raise DomainError(f"the evaluation constant at |z| = {r:.6g} is not finite ({value})")
+    return value

@@ -10,7 +10,8 @@ even when one numerator parameter is of order 1e4 (the scaled-curvature
 regime).  The terms are summed with the Neumaier compensation of
 ``CompensatedSum``, applied to the real and imaginary parts; ``eval_pfq``
 inlines those float operations, in the same order, into its term loop, so
-that a series of thousands of terms makes no per-term method calls.  Gamma
+that a series of thousands of terms makes no per-term method calls, and
+reads each term's multiplier from a table kept on the spec.  Gamma
 ratios are likewise never computed through raw Gamma: an integer parameter
 offset is a Pochhammer product and everything else goes through a
 cancellation-free Stirling difference, which serves ``gamma_ratio`` alone.
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DivergenceError, DomainError, NonconvergenceError
 
@@ -71,7 +74,12 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 @dataclass(frozen=True)
 class HypergeometricSpec:
-    """Parameter lists (a1..aP; b1..bQ) of a pFq series."""
+    """Parameter lists (a1..aP; b1..bQ) of a pFq series.
+
+    A spec also keeps the table of ``eval_pfq``'s term multipliers c_k,
+    grown on demand (see ``_grow_multipliers``); it takes no part in ``==``,
+    ``hash`` or ``repr``.
+    """
 
     numerator_params: tuple
     denominator_params: tuple
@@ -86,6 +94,67 @@ class HypergeometricSpec:
                 )
         object.__setattr__(self, "numerator_params", num)
         object.__setattr__(self, "denominator_params", den)
+        object.__setattr__(self, "_multipliers", _NO_MULTIPLIERS)
+
+    def _grow_multipliers(self, max_terms: int) -> array:
+        """The table c_0, c_1, ... of ``eval_pfq``, grown by one step.
+
+        c_k = (a1+k)...(aP+k) / (b1+k) ... / (bQ+k) / (k+1) is rounded as the
+        straightforward term loop forms it: 1.0 * (a1+k) * ... / (b1+k) / ...
+        left to right (the leading 1.0 * is exact), then divided by k+1.  k
+        runs over float(k), the float an integer k becomes in a + k, so each
+        sum is the same.  The (3; 2) and (2; 2) shapes are unrolled, and for
+        the kernels' (1, 1, a; b, b) and (1, 1; b, b) each repeated sum is
+        formed once (1 + k is k + 1): a fill then costs less than forming
+        the ratio in the term loop did, and a call on a fresh spec about
+        what it did.
+
+        The table grows by half its length (to at least
+        ``_FIRST_MULTIPLIERS`` entries) and never beyond the largest
+        ``max_terms`` asked for: a call that runs past its end fills, in few
+        steps, at most half again the multipliers it reads (or 32).  Each
+        grow builds a new array and swaps it in, so a table already handed
+        out, or shared with a copy of the spec, is never changed.
+        """
+        old = self._multipliers
+        start = len(old)
+        stop = start + (start >> 1) if start >= _FIRST_MULTIPLIERS else _FIRST_MULTIPLIERS
+        if stop > max_terms:
+            stop = max_terms
+        ks = map(float, range(start, stop))
+        num = self.numerator_params
+        den = self.denominator_params
+        if len(num) == 3 and len(den) == 2:
+            a0, a1, a2 = num
+            b0, b1 = den
+            if a0 == a1 == 1.0 and b0 == b1:  # the ball kernel's (1, 1, a; b, b)
+                new = [(u := k + 1.0) * u * (a2 + k) / (v := b0 + k) / v / u for k in ks]
+            else:
+                new = [(a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k) / (k + 1.0)
+                       for k in ks]
+        elif len(num) == 2 and len(den) == 2:
+            a0, a1 = num
+            b0, b1 = den
+            if a0 == a1 == 1.0 and b0 == b1:  # the plane kernel's (1, 1; b, b)
+                new = [(u := k + 1.0) * u / (v := b0 + k) / v / u for k in ks]
+            else:
+                new = [(a0 + k) * (a1 + k) / (b0 + k) / (b1 + k) / (k + 1.0) for k in ks]
+        else:
+            new = []
+            for k in ks:
+                ratio = 1.0
+                for a in num:
+                    ratio *= a + k
+                for b in den:
+                    ratio /= b + k
+                new.append(ratio / (k + 1.0))
+        table = old + array("d", new)
+        object.__setattr__(self, "_multipliers", table)
+        return table
+
+
+_NO_MULTIPLIERS = array("d")  # shared by fresh specs; never changed in place
+_FIRST_MULTIPLIERS = 32
 
 
 @dataclass(frozen=True)
@@ -189,15 +258,28 @@ def eval_pfq(
     rule is not met within ``max_terms`` terms (DomainError if the partial
     sum is then no longer finite).
 
+    One loop serves every shape.  It steps t_{k+1} = t_k * c_k * z with the
+    multiplier c_k = (a1+k)...(aP+k) / (b1+k)...(bQ+k) / (k+1) read from the
+    spec's table (``HypergeometricSpec._grow_multipliers``), which stores c_k
+    as the term loop would round it: the ratio left to right, then divided
+    by k+1.  The step makes the same two roundings as
+    t_k * (ratio / (k+1)) * z, so the value, ``terms_used`` and the estimate
+    are bit for bit those of a loop that forms each ratio in place, whether
+    the table was filled by earlier calls or grows during this one.  The
+    table costs 8 bytes a multiplier, up to 8 B * ``max_terms`` per spec, and
+    the kernels intern at most 256 specs (``spaces._kernel_spec``), so every
+    call in a space after its first reads stored multipliers.  A grow builds
+    a new array and swaps it in, never changing one in place, so a copied
+    spec or a concurrent call always sees a consistent prefix.
+
     The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
-    inlined, and the term ratio of the kernels' (3; 2) and (2; 2) shapes is
-    unrolled in the generic loop's left-to-right order.  Before the exact
-    stop test, |t_k| > 2 tol (|Re s| + |Im s|) rules a term out cheaply.  It
-    cannot change the decision: the computed |s| = hypot(Re s, Im s) is at
-    most twice the rounded |Re s| + |Im s| (a factor of 1 would not do, as
-    hypot can round one ulp above it), and a rounded product keeps the
-    order of its exact values, so such a term fails the exact test too.  A
-    NaN or infinite bound falls through to the exact test.
+    inlined.  Before the exact stop test, |t_k| > 2 tol (|Re s| + |Im s|)
+    rules a term out cheaply.  It cannot change the decision: the computed
+    |s| = hypot(Re s, Im s) is at most twice the rounded |Re s| + |Im s| (a
+    factor of 1 would not do, as hypot can round one ulp above it), and a
+    rounded product keeps the order of its exact values, so such a term
+    fails the exact test too.  A NaN or infinite bound falls through to the
+    exact test.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -211,16 +293,8 @@ def eval_pfq(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
 
-    if len(num) == 3 and len(den) == 2:
-        shape = 3
-        a0, a1, a2 = num
-        b0, b1 = den
-    elif len(num) == 2 and len(den) == 2:
-        shape = 2
-        a0, a1 = num
-        b0, b1 = den
-    else:
-        shape = 0
+    table = spec._multipliers
+    last = max_terms - 1  # the budget ends with t_last
     cutoff = 2.0 * tol
     # Neumaier sums of the real and imaginary parts, as in CompensatedSum,
     # after adding the first term 1
@@ -230,48 +304,43 @@ def eval_pfq(
     k = 0  # the term just added is t_k; k + 1 terms are summed
     try:
         while True:
-            # the factor (a1+k)...(aP+k) / (b1+k)...(bQ+k), left to right
-            if shape == 3:
-                ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
-            elif shape == 2:
-                ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
-            else:
-                ratio = 1.0
-                for a in num:
-                    ratio *= a + k
-                for b in den:
-                    ratio /= b + k
-            nxt = term * (ratio / (k + 1)) * z
-            if small_streak >= _CONSECUTIVE_SMALL:
-                return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
-            if k + 1 >= max_terms:
+            for c in islice(table, k, last):  # c = c_k, while the table and budget last
+                nxt = term * c * z
+                if small_streak >= _CONSECUTIVE_SMALL:
+                    return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
+                term = nxt
+                k += 1
+                x = term.real
+                s = re_s + x
+                if abs(re_s) >= abs(x):
+                    re_c += (re_s - s) + x
+                else:
+                    re_c += (x - s) + re_s
+                re_s = s
+                x = term.imag
+                s = im_s + x
+                if abs(im_s) >= abs(x):
+                    im_c += (im_s - s) + x
+                else:
+                    im_c += (x - s) + im_s
+                im_s = s
+                size = abs(term)
+                re = re_s + re_c
+                im = im_s + im_c
+                # the cheap pre-check of the docstring; the exact test alone decides
+                if size > cutoff * (abs(re) + abs(im)):
+                    small_streak = 0
+                elif size <= tol * abs(complex(re, im)):
+                    small_streak += 1
+                else:
+                    small_streak = 0
+            if k == last:
                 break
-            term = nxt
-            k += 1
-            x = term.real
-            s = re_s + x
-            if abs(re_s) >= abs(x):
-                re_c += (re_s - s) + x
-            else:
-                re_c += (x - s) + re_s
-            re_s = s
-            x = term.imag
-            s = im_s + x
-            if abs(im_s) >= abs(x):
-                im_c += (im_s - s) + x
-            else:
-                im_c += (x - s) + im_s
-            im_s = s
-            size = abs(term)
-            re = re_s + re_c
-            im = im_s + im_c
-            # the cheap pre-check of the docstring; the exact test alone decides
-            if size > cutoff * (abs(re) + abs(im)):
-                small_streak = 0
-            elif size <= tol * abs(complex(re, im)):
-                small_streak += 1
-            else:
-                small_streak = 0
+            table = spec._grow_multipliers(max_terms)
+        if small_streak >= _CONSECUTIVE_SMALL:  # the stop rule is met at t_last
+            if len(table) == k:
+                table = spec._grow_multipliers(max_terms)
+            return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term * table[k] * z))
     except OverflowError as exc:  # abs() of a term or sum whose parts are finite
         raise DomainError(
             f"a pFq term or partial sum near term {k} has a modulus beyond the float range"

@@ -251,6 +251,23 @@ def test_pointwise_bound_coarse_variant():
         )
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_pointwise_bound_coarse_overflow_is_domain_error(m):
+    # (1 - |z|^2)^-(alpha+n+1) overflows a float at alpha = 1e4
+    space = bergman.BergmanDirichletSpace(n=2, alpha=1e4, m=m)
+    with pytest.raises(DomainError):
+        bergman.pointwise_bound_coarse(space, (0.3, 0.2j))
+
+
+def test_pointwise_bound_coarse_overflowing_product_is_domain_error():
+    # the power is finite (about 1.6e304) but the prefactor (alpha+1)_2/pi^2 lifts it past
+    # the float range; at |z| a little smaller the constant is finite
+    space = bergman.BergmanDirichletSpace(n=2, alpha=3000.0, m=2)
+    with pytest.raises(DomainError):
+        bergman.pointwise_bound_coarse(space, (0.445, 0.1j))
+    assert math.isfinite(bergman.pointwise_bound_coarse(space, (0.44, 0.1j)))
+
+
 def test_pointwise_bound_domain_guard():
     space = bergman.BergmanDirichletSpace(n=2, alpha=0.0, m=0)
     with pytest.raises(DomainError):

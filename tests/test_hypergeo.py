@@ -1,6 +1,10 @@
 import cmath
+import copy
+import dataclasses
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -322,3 +326,253 @@ def test_eval_pfq_bit_identical_to_reference_loop():
     # the grid reaches the stop rule and every error path, hypot overflow included
     assert kinds == {"ok", "NonconvergenceError", "DivergenceError", "OverflowError",
                      "non-finite NonconvergenceError"}
+
+
+def _reference_inline_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
+    """The term loop before the multiplier tables: the ratio of each term
+    formed in the loop, unrolled for the (3; 2) and (2; 2) shapes."""
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    z = complex(z)
+    num = spec.numerator_params
+    den = spec.denominator_params
+    if len(num) == len(den) + 1 and abs(z) >= 1.0:
+        raise DivergenceError(
+            f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
+        )
+    if len(num) == 3 and len(den) == 2:
+        shape = 3
+        a0, a1, a2 = num
+        b0, b1 = den
+    elif len(num) == 2 and len(den) == 2:
+        shape = 2
+        a0, a1 = num
+        b0, b1 = den
+    else:
+        shape = 0
+    cutoff = 2.0 * tol
+    re_s, re_c, im_s, im_c = 1.0, 0.0, 0.0, 0.0
+    term = 1 + 0j
+    small_streak = 0
+    k = 0
+    try:
+        while True:
+            if shape == 3:
+                ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
+            elif shape == 2:
+                ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
+            else:
+                ratio = 1.0
+                for a in num:
+                    ratio *= a + k
+                for b in den:
+                    ratio /= b + k
+            nxt = term * (ratio / (k + 1)) * z
+            if small_streak >= 3:
+                return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
+            if k + 1 >= max_terms:
+                break
+            term = nxt
+            k += 1
+            x = term.real
+            s = re_s + x
+            if abs(re_s) >= abs(x):
+                re_c += (re_s - s) + x
+            else:
+                re_c += (x - s) + re_s
+            re_s = s
+            x = term.imag
+            s = im_s + x
+            if abs(im_s) >= abs(x):
+                im_c += (im_s - s) + x
+            else:
+                im_c += (x - s) + im_s
+            im_s = s
+            size = abs(term)
+            re = re_s + re_c
+            im = im_s + im_c
+            if size > cutoff * (abs(re) + abs(im)):
+                small_streak = 0
+            elif size <= tol * abs(complex(re, im)):
+                small_streak += 1
+            else:
+                small_streak = 0
+    except OverflowError as exc:
+        raise DomainError(
+            f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
+        ) from exc
+    partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
+    if not cmath.isfinite(partial.value):
+        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({partial.value})")
+    raise NonconvergenceError(
+        f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
+        partial=partial,
+    )
+
+
+def _random_parameter(rng, denominator=False):
+    """A pFq parameter: mostly moderate, now and then large (the scaled-curvature
+    regime) or, for a numerator, a negative non-integer."""
+    u = rng.random()
+    if u < 0.15:
+        return rng.uniform(100.0, 1e4)
+    if u < 0.3 and not denominator:
+        return rng.uniform(-6.0, 0.0)
+    return rng.choice((1.0, 2.0, 3.0, 4.0)) if u < 0.5 else rng.uniform(0.05, 12.0)
+
+
+def _table_call_sequences():
+    """Seeded specs of every shape, the kernels' among them, each with calls
+    made in turn on one spec object: (z, tol, max_terms) at every phase, short then long (so the
+    multiplier table grows mid-series), long then a smaller budget, and a
+    budget of one term."""
+    rng = random.Random(110611)
+    shapes = [(3, 2), (2, 2), (1, 1), (2, 1), (0, 0)]
+    sequences = []
+    for i in range(200):
+        p, q = shapes[i % len(shapes)]
+        num = [_random_parameter(rng) for _ in range(p)]
+        den = [_random_parameter(rng, denominator=True) for _ in range(q)]
+        if q == 2 and p >= 2 and rng.random() < 0.5:
+            num[:2] = [1.0, 1.0]  # a kernel's (1, 1, *a; b, b)
+            den[1] = den[0]
+        if i % 15 == 0 and p:
+            num[0] = -float(rng.randint(0, 40))  # a terminating series
+        top = 0.99 if p == q + 1 else 60.0
+
+        def z_at(radius):
+            return cmath.rect(radius, rng.uniform(-math.pi, math.pi))
+
+        tol = rng.choice((1e-14, 1e-14, 1e-10))
+        calls = [
+            (z_at(rng.uniform(0.0, 0.2 * top)), tol, 10000),
+            (z_at(rng.uniform(0.6 * top, top)), tol, 10000),
+            (z_at(rng.uniform(0.6 * top, top)), tol, rng.randint(2, 60)),
+            (z_at(rng.uniform(0.0, top)), tol, 1),
+            (z_at(rng.uniform(0.0, top)), 1e-14, rng.choice((5, 300, 3000, 10000))),
+        ]
+        sequences.append((tuple(num), tuple(den), calls))
+    # phases the samples would almost never hit, and z = 0
+    for z in (0.97, -0.97, 0.97j, -0.97j, 0.0, -0.0):
+        sequences.append(((1.0, 1.0, 7.5), (3.0, 3.0), [(z, 1e-14, 10000)]))
+    for z in (55.0, -55.0, 55j, -55j, 0.0):
+        sequences.append(((1.0, 1.0), (2.0, 2.0), [(z, 1e-14, 10000)]))
+    # DomainError: a term of modulus beyond the float range, and a budget that
+    # runs out on a sum that is no longer finite
+    sequences.append(((1.0, 1.0), (2.0, 2.0), [(800.0, 1e-14, 10000), (800j, 1e-14, 10000)]))
+    sequences.append(((1.0, 1.0, 1e4), (2.0, 2.0), [(0.99, 1e-14, 10000)]))
+    return sequences
+
+
+def test_eval_pfq_table_bit_identical_to_inline_loop():
+    kinds = set()
+    for num, den, calls in _table_call_sequences():
+        spec = HypergeometricSpec(num, den)
+        for z, tol, max_terms in calls:
+            expected = _outcome(_reference_inline_eval_pfq, spec, z, tol, max_terms)
+            got = _outcome(eval_pfq, spec, z, tol, max_terms)
+            assert got == expected, (num, den, z, tol, max_terms)
+            kinds.add(expected[0])
+            if expected[0] == "ok":
+                # budgets that end just before, and exactly at, the stop rule
+                used = _reference_inline_eval_pfq(spec, z, tol, max_terms).terms_used
+                for budget in range(max(1, used - 1), used + 1):
+                    expected = _outcome(_reference_inline_eval_pfq, spec, z, tol, budget)
+                    assert _outcome(eval_pfq, spec, z, tol, budget) == expected, (
+                        num, den, z, tol, budget)
+                    kinds.add(f"{expected[0]} at the budget's end")
+    assert kinds == {"ok", "NonconvergenceError", "DomainError", "ok at the budget's end",
+                     "NonconvergenceError at the budget's end"}
+
+
+def test_multiplier_table_bound_and_spec_identity():
+    num, den = (1.0, 1.0, 3.5), (2.0, 2.0)
+    spec = HypergeometricSpec(num, den)
+    assert len(spec._multipliers) == 0
+    largest = 0
+    for z, max_terms in ((0.3, 10000), (0.9, 200), (0.99, 700), (0.999, 10000), (0.5, 3)):
+        try:
+            eval_pfq(spec, z, max_terms=max_terms)
+        except NonconvergenceError:
+            pass
+        largest = max(largest, max_terms)
+        assert len(spec._multipliers) <= largest
+    # a call whose budget is at most N leaves at most N entries
+    for max_terms in (1, 2, 31, 33, 100):
+        fresh = HypergeometricSpec(num, den)
+        with pytest.raises(NonconvergenceError):
+            eval_pfq(fresh, 0.999, max_terms=max_terms)
+        assert len(fresh._multipliers) <= max_terms
+    # the table is never part of equality, hashing or repr
+    for other in (copy.copy(spec), dataclasses.replace(spec), HypergeometricSpec(num, den)):
+        assert other == spec and hash(other) == hash(spec)
+        assert repr(other) == repr(spec) == (
+            "HypergeometricSpec(numerator_params=(1.0, 1.0, 3.5), denominator_params=(2.0, 2.0))")
+    assert len(dataclasses.replace(spec)._multipliers) == 0
+
+
+def test_multiplier_table_grows_by_copy():
+    spec = HypergeometricSpec((1.0, 1.0, 3.5), (2.0, 2.0))
+    eval_pfq(spec, 0.3)
+    table = spec._multipliers
+    snapshot = table.tolist()
+    twin = copy.copy(spec)
+    eval_pfq(spec, 0.99)  # grows the table
+    assert len(spec._multipliers) > len(table)
+    assert table.tolist() == snapshot and twin._multipliers is table
+    assert spec._multipliers.tolist()[: len(snapshot)] == snapshot
+    # the copy grows its own table, equal entry for entry
+    eval_pfq(twin, 0.99)
+    assert twin._multipliers.tolist() == spec._multipliers.tolist()
+
+
+@pytest.mark.parametrize("z,used", [(0.335, 33), (0.49, 49)])
+def test_eval_pfq_stop_rule_met_where_budget_and_table_end(z, used):
+    # on a fresh spec the stop rule is met at t_32 (t_48): the last term of a
+    # budget of 33 (49) terms, and the first past the table's first (second) fill
+    num, den = (1.0, 1.0, 3.5), (2.0, 2.0)
+    assert eval_pfq(HypergeometricSpec(num, den), z).terms_used == used
+    spec = HypergeometricSpec(num, den)
+    got = _outcome(eval_pfq, spec, z, 1e-14, used)
+    assert got[0] == "ok"
+    assert got == _outcome(_reference_inline_eval_pfq, spec, z, 1e-14, used)
+    assert len(spec._multipliers) == used
+
+
+def test_multiplier_table_shared_by_threads():
+    # threads that grow one spec's table at once: each call still matches a
+    # spec of its own, and the table left behind is a prefix of a fresh fill
+    num, den = (1.0, 1.0, 47.123), (3.0, 3.0)
+    calls = [(cmath.rect(r, phase), max_terms)
+             for r in (0.2, 0.9, 0.99) for phase in (0.0, 2.0, -2.5)
+             for max_terms in (10000, 64, 500)]
+    expected = [_outcome(eval_pfq, HypergeometricSpec(num, den), z, 1e-14, max_terms)
+                for z, max_terms in calls]
+    shared = HypergeometricSpec(num, den)
+    mismatches = []
+
+    def worker(offset):
+        for i in range(len(calls)):
+            j = (i + offset) % len(calls)
+            if _outcome(eval_pfq, shared, calls[j][0], 1e-14, calls[j][1]) != expected[j]:
+                mismatches.append(calls[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    table = shared._multipliers.tolist()
+    fresh = HypergeometricSpec(num, den)
+    while len(fresh._multipliers) < len(table):
+        fresh._grow_multipliers(10000)
+    assert table == fresh._multipliers.tolist()[: len(table)]
