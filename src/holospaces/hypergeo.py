@@ -23,7 +23,7 @@ import cmath
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from .errors import DivergenceError, DomainError, NonconvergenceError
 
@@ -77,7 +77,7 @@ class HypergeometricSpec:
     """Parameter lists (a1..aP; b1..bQ) of a pFq series.
 
     A spec also keeps the table of ``eval_pfq``'s term multipliers c_k,
-    grown on demand (see ``_grow_multipliers``); it takes no part in ``==``,
+    grown on demand (see ``_multipliers_from``); it takes no part in ``==``,
     ``hash`` or ``repr``.
     """
 
@@ -96,65 +96,67 @@ class HypergeometricSpec:
         object.__setattr__(self, "denominator_params", den)
         object.__setattr__(self, "_multipliers", _NO_MULTIPLIERS)
 
-    def _grow_multipliers(self, max_terms: int) -> array:
-        """The table c_0, c_1, ... of ``eval_pfq``, grown by one step.
+    def _multipliers_from(self, k: int, max_terms: int) -> tuple[array, int]:
+        """A block of ``eval_pfq``'s term multipliers that holds c_k.
 
-        c_k = (a1+k)...(aP+k) / (b1+k) ... / (bQ+k) / (k+1) is rounded as the
-        straightforward term loop forms it: 1.0 * (a1+k) * ... / (b1+k) / ...
-        left to right (the leading 1.0 * is exact), then divided by k+1.  k
-        runs over float(k), the float an integer k becomes in a + k, so each
-        sum is the same.  The (3; 2) and (2; 2) shapes are unrolled, and for
-        the kernels' (1, 1, a; b, b) and (1, 1; b, b) each repeated sum is
-        formed once (1 + k is k + 1): a fill then costs less than forming
-        the ratio in the term loop did, and a call on a fresh spec about
-        what it did.
-
-        The table grows by half its length (to at least
-        ``_FIRST_MULTIPLIERS`` entries) and never beyond the largest
-        ``max_terms`` asked for: a call that runs past its end fills, in few
-        steps, at most half again the multipliers it reads (or 32).  Each
-        grow builds a new array and swaps it in, so a table already handed
-        out, or shared with a copy of the spec, is never changed.
+        Returns ``(block, base)`` with ``block[i]`` = c_{base+i}.  Up to
+        ``_MAX_STORED_MULTIPLIERS`` entries the block is the spec's own
+        table (base 0), grown when it ends at k by an eighth of its length,
+        at least ``_MIN_GROWTH`` entries, and never past ``max_terms``: a
+        call that runs past the end fills at most an eighth (or 32) more
+        multipliers than it reads, in steps cheap beside the terms they
+        serve.  Each grow builds a new array and swaps it in, so a table
+        already handed out, or shared with a copy of the spec, is never
+        changed.  Past the stored length a call gets blocks of the same
+        step that are not kept.
         """
-        old = self._multipliers
-        start = len(old)
-        stop = start + (start >> 1) if start >= _FIRST_MULTIPLIERS else _FIRST_MULTIPLIERS
-        if stop > max_terms:
-            stop = max_terms
-        ks = map(float, range(start, stop))
+        table = self._multipliers
+        start = len(table)
+        if k < start:  # another call has grown the table since this one read it
+            return table, 0
+        step = max(_MIN_GROWTH, start >> 3)
+        if start < _MAX_STORED_MULTIPLIERS:
+            stop = min(start + step, max_terms, _MAX_STORED_MULTIPLIERS)
+            table = table + self._multiplier_block(start, stop)
+            object.__setattr__(self, "_multipliers", table)
+            return table, 0
+        return self._multiplier_block(k, min(k + step, max_terms)), k
+
+    def _multiplier_block(self, start: int, stop: int) -> array:
+        """c_start, ..., c_(stop-1), each rounded as a term loop forms it.
+
+        c_k = (a1+k)...(aP+k) / (b1+k) ... / (bQ+k) / (k+1) is formed as the
+        straightforward loop does: 1.0 * (a1+k) * ... / (b1+k) / ... left to
+        right (the leading 1.0 * is exact), then divided by k+1.  k runs over
+        float(k), the float an integer k becomes in a + k (counting up by 1.0
+        is exact below 2**53), so each sum is the same.  The (3; 2) and (2; 2) shapes of the kernels are unrolled.
+        """
+        ks = islice(count(float(start)), stop - start)  # float(start), ..., float(stop - 1)
         num = self.numerator_params
         den = self.denominator_params
         if len(num) == 3 and len(den) == 2:
             a0, a1, a2 = num
             b0, b1 = den
-            if a0 == a1 == 1.0 and b0 == b1:  # the ball kernel's (1, 1, a; b, b)
-                new = [(u := k + 1.0) * u * (a2 + k) / (v := b0 + k) / v / u for k in ks]
-            else:
-                new = [(a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k) / (k + 1.0)
-                       for k in ks]
-        elif len(num) == 2 and len(den) == 2:
+            return array("d", [(a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k) / (k + 1.0)
+                               for k in ks])
+        if len(num) == 2 and len(den) == 2:
             a0, a1 = num
             b0, b1 = den
-            if a0 == a1 == 1.0 and b0 == b1:  # the plane kernel's (1, 1; b, b)
-                new = [(u := k + 1.0) * u / (v := b0 + k) / v / u for k in ks]
-            else:
-                new = [(a0 + k) * (a1 + k) / (b0 + k) / (b1 + k) / (k + 1.0) for k in ks]
-        else:
-            new = []
-            for k in ks:
-                ratio = 1.0
-                for a in num:
-                    ratio *= a + k
-                for b in den:
-                    ratio /= b + k
-                new.append(ratio / (k + 1.0))
-        table = old + array("d", new)
-        object.__setattr__(self, "_multipliers", table)
-        return table
+            return array("d", [(a0 + k) * (a1 + k) / (b0 + k) / (b1 + k) / (k + 1.0) for k in ks])
+        block = array("d")
+        for k in ks:
+            ratio = 1.0
+            for a in num:
+                ratio *= a + k
+            for b in den:
+                ratio /= b + k
+            block.append(ratio / (k + 1.0))
+        return block
 
 
 _NO_MULTIPLIERS = array("d")  # shared by fresh specs; never changed in place
-_FIRST_MULTIPLIERS = 32
+_MIN_GROWTH = 32
+_MAX_STORED_MULTIPLIERS = 10000  # 80 kB per spec
 
 
 @dataclass(frozen=True)
@@ -260,17 +262,19 @@ def eval_pfq(
 
     One loop serves every shape.  It steps t_{k+1} = t_k * c_k * z with the
     multiplier c_k = (a1+k)...(aP+k) / (b1+k)...(bQ+k) / (k+1) read from the
-    spec's table (``HypergeometricSpec._grow_multipliers``), which stores c_k
+    spec's table (``HypergeometricSpec._multipliers_from``), which stores c_k
     as the term loop would round it: the ratio left to right, then divided
     by k+1.  The step makes the same two roundings as
     t_k * (ratio / (k+1)) * z, so the value, ``terms_used`` and the estimate
     are bit for bit those of a loop that forms each ratio in place, whether
-    the table was filled by earlier calls or grows during this one.  The
-    table costs 8 bytes a multiplier, up to 8 B * ``max_terms`` per spec, and
-    the kernels intern at most 256 specs (``spaces._kernel_spec``), so every
-    call in a space after its first reads stored multipliers.  A grow builds
-    a new array and swaps it in, never changing one in place, so a copied
-    spec or a concurrent call always sees a consistent prefix.
+    the table was filled by earlier calls, grows during this one, or has
+    ended and the call reads blocks that are not kept.  The table costs 8 B
+    a multiplier and stores at most ``_MAX_STORED_MULTIPLIERS`` (10,000), so
+    at most 8 B * min(``max_terms``, 10,000) per spec; the kernels intern at
+    most 256 specs (``spaces._kernel_spec``), so every call in a space after
+    its first reads stored multipliers.  A grow builds a new array and swaps
+    it in (copy-on-grow), never changing one in place, so a copied spec or a
+    concurrent call always sees a consistent prefix.
 
     The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
     inlined.  Before the exact stop test, |t_k| > 2 tol (|Re s| + |Im s|)
@@ -293,7 +297,7 @@ def eval_pfq(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
 
-    table = spec._multipliers
+    table, base = spec._multipliers, 0  # table[i] = c_(base+i)
     last = max_terms - 1  # the budget ends with t_last
     cutoff = 2.0 * tol
     # Neumaier sums of the real and imaginary parts, as in CompensatedSum,
@@ -304,7 +308,7 @@ def eval_pfq(
     k = 0  # the term just added is t_k; k + 1 terms are summed
     try:
         while True:
-            for c in islice(table, k, last):  # c = c_k, while the table and budget last
+            for c in islice(table, k - base, last - base):  # c = c_k, while both last
                 nxt = term * c * z
                 if small_streak >= _CONSECUTIVE_SMALL:
                     return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
@@ -336,11 +340,12 @@ def eval_pfq(
                     small_streak = 0
             if k == last:
                 break
-            table = spec._grow_multipliers(max_terms)
+            table, base = spec._multipliers_from(k, max_terms)
         if small_streak >= _CONSECUTIVE_SMALL:  # the stop rule is met at t_last
-            if len(table) == k:
-                table = spec._grow_multipliers(max_terms)
-            return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term * table[k] * z))
+            if k - base == len(table):
+                table, base = spec._multipliers_from(k, max_terms)
+            c = table[k - base]
+            return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term * c * z))
     except OverflowError as exc:  # abs() of a term or sum whose parts are finite
         raise DomainError(
             f"a pFq term or partial sum near term {k} has a modulus beyond the float range"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pfq_reference
+from holospaces import hypergeo
 from holospaces.errors import DivergenceError, DomainError, NonconvergenceError
 from holospaces.hypergeo import (
     CompensatedSum,
@@ -309,107 +310,29 @@ def _pfq_grid():
     return grid
 
 
+def _check_against_reference(spec, z, tol, max_terms):
+    """Assert that ``eval_pfq`` ends as ``_reference_eval_pfq`` does, by repr,
+    and return how the reference ended.  Where the reference loop's abs()
+    overflows, or its budget runs out on a non-finite sum, the package
+    raises DomainError instead."""
+    expected = _outcome(_reference_eval_pfq, spec, z, tol, max_terms)
+    got = _outcome(eval_pfq, spec, z, tol, max_terms)
+    case = (spec, z, tol, max_terms)
+    if expected[0] == "OverflowError" or not expected[2]:
+        assert got[0] == "DomainError", case
+    else:
+        assert got == expected, case
+    return expected[0] if expected[2] else "non-finite " + expected[0]
+
+
 def test_eval_pfq_bit_identical_to_reference_loop():
     grid = _pfq_grid()
     kinds = set()
     for num, den, z, tol, max_terms in grid:
-        spec = HypergeometricSpec(num, den)
-        expected = _outcome(_reference_eval_pfq, spec, z, tol, max_terms)
-        got = _outcome(eval_pfq, spec, z, tol, max_terms)
-        if expected[0] == "OverflowError" or not expected[2]:
-            # the reference loop's abs() overflows, or its budget runs out on a
-            # non-finite sum; the package raises DomainError
-            assert got[0] == "DomainError", (num, den, z, tol, max_terms)
-        else:
-            assert got == expected, (num, den, z, tol, max_terms)
-        kinds.add(expected[0] if expected[2] else "non-finite " + expected[0])
+        kinds.add(_check_against_reference(HypergeometricSpec(num, den), z, tol, max_terms))
     # the grid reaches the stop rule and every error path, hypot overflow included
     assert kinds == {"ok", "NonconvergenceError", "DivergenceError", "OverflowError",
                      "non-finite NonconvergenceError"}
-
-
-def _reference_inline_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
-    """The term loop before the multiplier tables: the ratio of each term
-    formed in the loop, unrolled for the (3; 2) and (2; 2) shapes."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    z = complex(z)
-    num = spec.numerator_params
-    den = spec.denominator_params
-    if len(num) == len(den) + 1 and abs(z) >= 1.0:
-        raise DivergenceError(
-            f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
-        )
-    if len(num) == 3 and len(den) == 2:
-        shape = 3
-        a0, a1, a2 = num
-        b0, b1 = den
-    elif len(num) == 2 and len(den) == 2:
-        shape = 2
-        a0, a1 = num
-        b0, b1 = den
-    else:
-        shape = 0
-    cutoff = 2.0 * tol
-    re_s, re_c, im_s, im_c = 1.0, 0.0, 0.0, 0.0
-    term = 1 + 0j
-    small_streak = 0
-    k = 0
-    try:
-        while True:
-            if shape == 3:
-                ratio = (a0 + k) * (a1 + k) * (a2 + k) / (b0 + k) / (b1 + k)
-            elif shape == 2:
-                ratio = (a0 + k) * (a1 + k) / (b0 + k) / (b1 + k)
-            else:
-                ratio = 1.0
-                for a in num:
-                    ratio *= a + k
-                for b in den:
-                    ratio /= b + k
-            nxt = term * (ratio / (k + 1)) * z
-            if small_streak >= 3:
-                return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
-            if k + 1 >= max_terms:
-                break
-            term = nxt
-            k += 1
-            x = term.real
-            s = re_s + x
-            if abs(re_s) >= abs(x):
-                re_c += (re_s - s) + x
-            else:
-                re_c += (x - s) + re_s
-            re_s = s
-            x = term.imag
-            s = im_s + x
-            if abs(im_s) >= abs(x):
-                im_c += (im_s - s) + x
-            else:
-                im_c += (x - s) + im_s
-            im_s = s
-            size = abs(term)
-            re = re_s + re_c
-            im = im_s + im_c
-            if size > cutoff * (abs(re) + abs(im)):
-                small_streak = 0
-            elif size <= tol * abs(complex(re, im)):
-                small_streak += 1
-            else:
-                small_streak = 0
-    except OverflowError as exc:
-        raise DomainError(
-            f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
-        ) from exc
-    partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
-    if not cmath.isfinite(partial.value):
-        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({partial.value})")
-    raise NonconvergenceError(
-        f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
-        partial=partial,
-    )
 
 
 def _random_parameter(rng, denominator=False):
@@ -466,25 +389,47 @@ def _table_call_sequences():
     return sequences
 
 
-def test_eval_pfq_table_bit_identical_to_inline_loop():
+def _check_call_sequences(sequences):
+    """Run each sequence's calls in turn on one spec against the reference
+    loop, with budgets that end just before, and exactly at, the stop rule;
+    return the set of endings seen."""
     kinds = set()
-    for num, den, calls in _table_call_sequences():
+    for num, den, calls in sequences:
         spec = HypergeometricSpec(num, den)
         for z, tol, max_terms in calls:
-            expected = _outcome(_reference_inline_eval_pfq, spec, z, tol, max_terms)
-            got = _outcome(eval_pfq, spec, z, tol, max_terms)
-            assert got == expected, (num, den, z, tol, max_terms)
-            kinds.add(expected[0])
-            if expected[0] == "ok":
-                # budgets that end just before, and exactly at, the stop rule
-                used = _reference_inline_eval_pfq(spec, z, tol, max_terms).terms_used
+            kind = _check_against_reference(spec, z, tol, max_terms)
+            kinds.add(kind)
+            if kind == "ok":
+                used = _reference_eval_pfq(spec, z, tol, max_terms).terms_used
                 for budget in range(max(1, used - 1), used + 1):
-                    expected = _outcome(_reference_inline_eval_pfq, spec, z, tol, budget)
-                    assert _outcome(eval_pfq, spec, z, tol, budget) == expected, (
-                        num, den, z, tol, budget)
-                    kinds.add(f"{expected[0]} at the budget's end")
-    assert kinds == {"ok", "NonconvergenceError", "DomainError", "ok at the budget's end",
+                    kind = _check_against_reference(spec, z, tol, budget)
+                    kinds.add(f"{kind} at the budget's end")
+    return kinds
+
+
+def test_eval_pfq_table_bit_identical_to_inline_loop():
+    kinds = _check_call_sequences(_table_call_sequences())
+    assert kinds == {"ok", "NonconvergenceError", "OverflowError",
+                     "non-finite NonconvergenceError", "ok at the budget's end",
                      "NonconvergenceError at the budget's end"}
+
+
+def test_eval_pfq_past_the_stored_multipliers(monkeypatch):
+    # calls that read past the stored table get blocks that are not kept
+    monkeypatch.setattr(hypergeo, "_MAX_STORED_MULTIPLIERS", 40)
+    sequences = _table_call_sequences()[::7]
+    assert "ok at the budget's end" in _check_call_sequences(sequences)
+    spec = HypergeometricSpec((1.0, 1.0, 3.5), (2.0, 2.0))
+    _check_against_reference(spec, 0.99, 1e-14, 10000)
+    assert len(spec._multipliers) == 40
+
+
+def test_eval_pfq_past_ten_thousand_terms():
+    # a 2F1 near |z| = 1 needs about 29,000 terms, beyond the stored 10,000
+    spec = HypergeometricSpec((0.5, 1.5), (2.5,))
+    for max_terms in (40000, 12345):
+        _check_against_reference(spec, 0.999j, 1e-14, max_terms)
+    assert len(spec._multipliers) == hypergeo._MAX_STORED_MULTIPLIERS == 10000
 
 
 def test_multiplier_table_bound_and_spec_identity():
@@ -537,7 +482,7 @@ def test_eval_pfq_stop_rule_met_where_budget_and_table_end(z, used):
     spec = HypergeometricSpec(num, den)
     got = _outcome(eval_pfq, spec, z, 1e-14, used)
     assert got[0] == "ok"
-    assert got == _outcome(_reference_inline_eval_pfq, spec, z, 1e-14, used)
+    assert got == _outcome(_reference_eval_pfq, spec, z, 1e-14, used)
     assert len(spec._multipliers) == used
 
 
@@ -573,6 +518,4 @@ def test_multiplier_table_shared_by_threads():
     assert mismatches == []
     table = shared._multipliers.tolist()
     fresh = HypergeometricSpec(num, den)
-    while len(fresh._multipliers) < len(table):
-        fresh._grow_multipliers(10000)
-    assert table == fresh._multipliers.tolist()[: len(table)]
+    assert table == fresh._multiplier_block(0, len(table)).tolist()
