@@ -104,11 +104,10 @@ class HypergeometricSpec:
         table (base 0), grown when it ends at k by an eighth of its length,
         at least ``_MIN_GROWTH`` entries, and never past ``max_terms``: a
         call that runs past the end fills at most an eighth (or 32) more
-        multipliers than it reads, in steps cheap beside the terms they
-        serve.  Each grow builds a new array and swaps it in, so a table
-        already handed out, or shared with a copy of the spec, is never
-        changed.  Past the stored length a call gets blocks of the same
-        step that are not kept.
+        multipliers than it reads.  Each grow builds a new array and swaps
+        it in, so a table already handed out, or shared with a copy of the
+        spec, is never changed.  Past the stored length a call gets blocks
+        of the same step that are not kept.
         """
         table = self._multipliers
         start = len(table)
