@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bargmann, bergman
 from .errors import DomainError
-from .hypergeo import limit_3f2_to_2f2_error
+from .hypergeo import _limit_3f2_to_2f2_errors
 from .taylor import inner
 
 
@@ -101,8 +101,12 @@ def hypergeometric_limit_sweep(
     tol: float = 1e-14,
     max_terms: int = 10000,
 ) -> list[tuple[float, float]]:
-    """Hypergeometric-limit errors, one per x, for increasing x values."""
+    """Hypergeometric-limit errors, one per x, for increasing x values.
+
+    Each error is ``hypergeo.limit_3f2_to_2f2_error`` at that x, bit for
+    bit; the 2F2 target is summed once per sweep, not once per x.
+    """
     xs = [float(x) for x in x_values]
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError(f"x values must be strictly increasing, got {xs}")
-    return [(x, limit_3f2_to_2f2_error(b, c, d, e, a, z, x, tol, max_terms)) for x in xs]
+    return list(zip(xs, _limit_3f2_to_2f2_errors(b, c, d, e, a, z, xs, tol, max_terms)))

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 
-from holospaces import asymptotics, bargmann, bergman
+from holospaces import asymptotics, bargmann, bergman, hypergeo
 from holospaces.errors import DomainError
 
 
@@ -98,3 +99,29 @@ def test_hypergeometric_limit_sweep_decay_rate():
     assert errors[0] > errors[1] > errors[2]
     assert 7.0 <= errors[0] / errors[1] <= 13.0
     assert 7.0 <= errors[1] / errors[2] <= 13.0
+
+
+def test_hypergeometric_limit_sweep_sums_the_target_once(monkeypatch):
+    calls = []
+    original = hypergeo.eval_pfq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    # every module attribute that binds eval_pfq, as the benchmark's tracer wraps it
+    for name, module in list(sys.modules.items()):
+        if name == "holospaces" or name.startswith("holospaces."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    xs = [1e3, 1e4, 1e5]
+    sweep = asymptotics.hypergeometric_limit_sweep(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, xs)
+    assert len(calls) == 4
+    assert sweep == [(x, hypergeo.limit_3f2_to_2f2_error(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, x))
+                     for x in xs]
+    assert asymptotics.hypergeometric_limit_sweep(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, []) == []
+    assert len(calls) == 10
+    with pytest.raises(DomainError):
+        asymptotics.hypergeometric_limit_sweep(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, [0.0, 1.0])
+    assert len(calls) == 10

@@ -21,7 +21,6 @@ from holospaces.hypergeo import (
     SeriesResult,
     eval_pfq,
     gamma_ratio,
-    gamma_ratio_asymptotic_error,
     limit_3f2_to_2f2_error,
     pochhammer,
 )
@@ -66,19 +65,30 @@ def test_gamma_ratio_recurrence(a):
     assert gamma_ratio(a + 1.0, a) == pytest.approx(a, rel=1e-13)
 
 
-def test_gamma_ratio_noninteger_offset_vs_reference():
-    for a, b in [(1234.5, 1226.25), (3.75, 31.125), (0.125, 0.6), (8765.4, 8723.9)]:
-        with mp.workdps(40):
-            expected = float(mp.gamma(a) / mp.gamma(b))
-        assert gamma_ratio(a, b) == pytest.approx(expected, rel=1e-12)
-    # genuinely unrepresentable ratios saturate instead of raising
-    assert gamma_ratio(1234.5, 7.25) == math.inf
+def test_gamma_ratio_is_pochhammer_bit_for_bit():
+    rng = random.Random(1506)
+    cases = [(b, k) for b in (0.5, 1.0, 7.25, 1234.5, 1e7 + 1.0)
+             for k in (0, 1, -1, 37, -37, 1024, -1024)]
+    cases += [(rng.randint(1, 2**30) / 64.0, rng.randint(-1024, 1024))  # b + k is exact
+              for _ in range(500)]
+    for b, k in cases:
+        if k >= 0:
+            assert gamma_ratio(b + k, b) == pochhammer(b, k)
+            assert gamma_ratio(b, b + k) == 1.0 / pochhammer(b, k)
+        elif b + k > 0:
+            assert gamma_ratio(b + k, b) == 1.0 / pochhammer(b + k, -k)
 
 
 def test_gamma_ratio_huge_arguments_do_not_overflow():
     value = gamma_ratio(1e7 + 3.0, 1e7 + 1.0)
     assert value == pytest.approx((1e7 + 2.0) * (1e7 + 1.0), rel=1e-12)
-    assert math.isfinite(gamma_ratio(1e7 + 2.5, 1e7 + 0.25))
+
+
+def test_gamma_ratio_rejects_noninteger_or_far_offset():
+    for a, b in [(1234.5, 1226.25), (3.75, 31.125), (0.125, 0.6), (1e7 + 2.5, 1e7 + 0.25),
+                 (1025.5, 0.5), (0.5, 1025.5), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            gamma_ratio(a, b)
 
 
 def test_gamma_ratio_domain():
@@ -181,20 +191,6 @@ def test_eval_pfq_nonconvergence_carries_partial():
     assert partial is not None
     assert partial.terms_used == 10
     assert abs(partial.value) > 0
-
-
-def test_gamma_ratio_asymptotic_error_values():
-    # Gamma(x+3)/Gamma(x+1) x^-2 - 1 = (x+2)(x+1)/x^2 - 1 exactly
-    for x in (1e2, 1e4):
-        exact = (x + 2.0) * (x + 1.0) / (x * x) - 1.0
-        assert gamma_ratio_asymptotic_error(x, 3.0, 1.0) == pytest.approx(exact, rel=1e-9)
-    assert gamma_ratio_asymptotic_error(50.0, 1.25, 1.25) == 0.0
-
-
-def test_gamma_ratio_asymptotic_error_decays_like_inverse_x():
-    e2 = gamma_ratio_asymptotic_error(1e2, 3.0, 1.0)
-    e4 = gamma_ratio_asymptotic_error(1e4, 3.0, 1.0)
-    assert 90.0 <= e2 / e4 <= 110.0
 
 
 def test_limit_3f2_to_2f2_zero_argument():
