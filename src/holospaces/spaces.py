@@ -10,6 +10,11 @@ in t = <z, w>, with x = t/R^2 and extra = (alpha+n+1,) on the ball (3F2) and
 x = nu t and no extra parameter on the plane (2F2).  The flat limit
 alpha = nu R^2, R -> infinity, turns the first into the second.
 
+Near |x| = 1 the ball's 3F2 series needs about 32/(1 - |x|) terms.  There,
+for m <= 4, the closed kernel takes the 3F2 from a fixed 225-node integral
+(``_ball_integral``), and sums the series only where that integral does not
+meet its tolerance.
+
 A space supplies what differs (see ``Space``); everything here is generic,
 down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
 ``bergman`` and ``bargmann`` bind these functions under their own names.
@@ -190,6 +195,12 @@ def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
     return HypergeometricSpec((1.0, 1.0, *extra), (m + 1.0, m + 1.0))
 
 
+# |x| from which the ball's 3F2 series runs to about 200 terms and more, and
+# the orders m up to which ``_ball_integral`` evaluates it instead
+_INTEGRAL_MIN_ARGUMENT = 0.85
+_INTEGRAL_MAX_ORDER = 4
+
+
 def _log1m(x: complex) -> complex:
     """log(1 - x) for |x| < 1, to full relative accuracy.
 
@@ -260,15 +271,27 @@ def kernel_closed_detail(
 ) -> tuple[complex, SeriesResult]:
     """Closed-form kernel at t = <z, w>, plus its evaluation record.
 
-    For m >= 1 the record is ``eval_pfq``'s on the pFq factor; m = 0 is
-    elementary and evaluated in closed form (see ``_kernel_order_zero``),
-    where ``tol`` and ``max_terms`` play no part.
+    For m >= 1 the record is that of the pFq factor.  On the ball with
+    m <= 4 and |x| >= 0.85 the factor is first taken from a fixed 225-node
+    integral (``_ball_integral.high_part``), whose record holds 225 and its
+    error estimate; ``max_terms`` does not bound it.  Where that integral
+    does not meet ``tol``, and everywhere else, the record is ``eval_pfq``'s.
+    m = 0 is elementary and evaluated in closed form (see
+    ``_kernel_order_zero``), where ``tol`` and ``max_terms`` play no part.
     """
     t, x = _argument(space, t)
     if space.m == 0:
         return _kernel_order_zero(space, x)
     low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
-    f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
+    f = None
+    # max_terms < 1 is left to eval_pfq, which rejects it
+    if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER
+            and abs(x) >= _INTEGRAL_MIN_ARGUMENT and max_terms >= 1):
+        from . import _ball_integral  # compiled only by a process that needs it
+
+        f = _ball_integral.high_part(space.pfq_extra[0], space.m, x, tol)
+    if f is None:
+        f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
     mfact = math.factorial(space.m)
     return _with_prefactor(space, low + t**space.m / (mfact * mfact) * f.value, x), f
 

@@ -16,6 +16,7 @@ HEAVY = ("numpy", "scipy")
 
 STDLIB_COMMANDS = {
     "kernel-ball": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.3,0.1"],
+    "kernel-ball-edge": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.999"],
     "kernel-fock": ["kernel", "--space", "fock", "--nu", "1", "--m", "2", "--z", "0.5,1j", "--w", "1,0"],
     "kernel-series": ["kernel", "--space", "fock", "--nu", "1", "--t", "2", "--method", "series"],
     "norms": ["norms", "--space", "ball", "--alpha", "0", "--m", "1", "--max-total-degree", "3"],
@@ -68,6 +69,24 @@ print(json.dumps(report))
     # the quadrature suite does load numpy, so the checks above can see a leak
     assert report.pop("verify-norms") == ["numpy"]
     assert report == {"import": [], **{name: [] for name in STDLIB_COMMANDS}}
+
+
+def test_ball_integral_loads_late_and_without_rational_arithmetic():
+    # the integral module is compiled only by a process that evaluates a ball
+    # kernel near |x| = 1; fractions imports decimal, about 4 ms of start-up,
+    # so the integral's coefficients are built in integers
+    script = f"""
+import contextlib, io, json, sys
+
+LATE = ("holospaces._ball_integral", "fractions", "decimal")
+import holospaces, holospaces.cli
+report = {{"import": [m for m in LATE if m in sys.modules]}}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["code"] = holospaces.cli.main({STDLIB_COMMANDS["kernel-ball-edge"]!r})
+report["kernel"] = [m for m in LATE if m in sys.modules]
+print(json.dumps(report))
+"""
+    assert _run(script) == {"import": [], "code": 0, "kernel": ["holospaces._ball_integral"]}
 
 
 def test_verify_suites_run_without_scipy():

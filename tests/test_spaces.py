@@ -1,12 +1,16 @@
 import cmath
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import random_point, random_polynomial
-from holospaces import bargmann, bergman
+from holospaces import _ball_integral, bargmann, bergman
 from holospaces.errors import DomainError, NonconvergenceError
 from holospaces.hypergeo import ComplexCompensatedSum, HypergeometricSpec, eval_pfq
 from holospaces.taylor import inner
@@ -187,3 +191,88 @@ def test_pointwise_bound_dominates_evaluations(family, space, max_norm):
         bound = family.pointwise_bound(space, z)
         norm = math.sqrt(family.function_norm_sq(space, f))
         assert abs(f.evaluate(z)) <= bound * norm * (1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """``perfbench/oracle.py``, the mpmath kernel references of the benchmark.
+
+    Its import sets mpmath's working precision to 40 digits; that is undone
+    here, and the references are taken under ``mp.workdps(40)``.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    with mp.workdps(mp.mp.dps):
+        spec.loader.exec_module(module)
+    return module
+
+
+def _ball_reference(oracle, space, t):
+    with mp.workdps(40):
+        return oracle.ball_kernel(space.n, space.alpha, space.m, space.radius, mp.mpc(t))
+
+
+@pytest.mark.parametrize("u", [0.999, 0.99999, -0.999, 0.999j])
+def test_ball_boundary_cells_take_the_integral(oracle, u):
+    # the series raised NonconvergenceError at each of these cells
+    space = bergman.BergmanDirichletSpace(2, 0.5, 1)
+    value, record = bergman.kernel_closed_detail(space, u)
+    reference = _ball_reference(oracle, space, u)
+    assert record.terms_used == 225
+    assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def _integral_bound(space, t, value, record):
+    """A bound on K's relative error derived from the record of its pFq factor F.
+
+    K = prefactor * (sum_{k<m} c_k x^k + t^m/(m!)^2 F).  F's error estimate,
+    scaled by |t|^m/(m!)^2 and the prefactor, is an error in K; to it come
+    the rounding of that sum, 4 eps times the sum of the moduli of its
+    terms, and of the prefactor, 4 eps (n + 2).
+    """
+    eps = sys.float_info.epsilon
+    x = space.series_argument(t)
+    a = space.pfq_extra[0]
+    low = 0.0
+    term = 1.0
+    for k in range(space.m):
+        low += term
+        term *= (a + k) / (k + 1) * abs(x)
+    scale = abs(t) ** space.m / math.factorial(space.m) ** 2
+    bracket = scale * record.error_estimate + 4 * eps * (low + scale * abs(record.value))
+    return bracket * space.kernel_prefactor() / abs(value) + 4 * eps * (space.n + 2)
+
+
+def test_ball_integral_error_within_its_estimate(oracle):
+    # every call near |x| = 1 either returns a K within the bound its record
+    # implies, or repeats the series outcome, NonconvergenceError included
+    rng = random.Random(20157)
+    integral = 0
+    for _ in range(60):
+        n, m = rng.choice((1, 2, 3)), rng.randint(1, 4)
+        alpha = -1.0 + 21.0 * (1.0 - rng.random())  # (-1, 20]
+        radius = rng.choice((1.0, 2.0))
+        gap = 10.0 ** rng.uniform(-6.0, math.log10(0.15))
+        t = cmath.rect(1.0 - gap, rng.uniform(-math.pi, math.pi)) * radius**2
+        space = bergman.BergmanDirichletSpace(n, alpha, m, radius)
+        case = (space, t)
+        series = _outcome(_reference_closed_detail, space, t)
+        got = _outcome(bergman.kernel_closed_detail, space, t)
+        if got == series:
+            continue
+        value, record = bergman.kernel_closed_detail(space, t)
+        assert record.terms_used == 225, case
+        error = abs(value - _ball_reference(oracle, space, t)) / abs(value)
+        assert error <= _integral_bound(space, t, value, record), case
+        integral += 1
+    assert integral >= 40
+
+
+def test_weight_branches_agree_at_half():
+    # P_m from its Taylor series in r and from its log form, where they meet
+    eps = sys.float_info.epsilon
+    for m in range(1, 5):
+        taylor = _ball_integral.weight(m, 0.5, 0.5, True)
+        log_form = _ball_integral.weight(m, 0.5, 0.5, False)
+        assert abs(taylor - log_form) <= 2 * eps * log_form, m
