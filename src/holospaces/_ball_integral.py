@@ -25,6 +25,9 @@ from .hypergeo import SeriesResult
 _EPS = sys.float_info.epsilon
 STEP = 1.0 / 32.0  # finest tanh-sinh step h; the rule also sums at 4h and 2h
 HALF_WIDTH = 112  # nodes tau = k h for |k| <= 112, |tau| <= 3.5: 225 nodes
+# the relative gap between the 4h and h sums above which the rule has not
+# resolved the integrand and the call declines, however loose tol is
+UNRESOLVED = 1e-2
 TAYLOR_DEGREE = 64  # P_m's Taylor series in r = 1 - s is cut after r^64, used for r < 1/2
 FIXED_BITS = 96  # fractional bits of the integer arithmetic of P_m's log form
 
@@ -141,25 +144,41 @@ def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
     the sums S1, S2, S3 at steps 4h, 2h and h, and the logs
     d1 = log(|S3 - S2|/|S3|) and d2 = log(|S3 - S1|/|S3|) of their relative
     gaps, it is |S3| e^max(d1^2/d2, 2 d1) (Bailey's rule for a rule whose
-    correct digits double as h halves), plus 4 eps sum |w_k f_k| for
-    rounding.
+    correct digits double as h halves), plus h max |w_k f_k| over the two
+    end nodes k = +-112 for the range cut at |tau| = 3.5 (Bailey's end-point
+    term), plus 4 eps sum |w_k f_k| for rounding.  Near s = 1, where
+    w P_m = O(r^(2m)) and 1 - x s is near 1 - x once r < |1 - x|, the
+    end-point term is about 3.3 m times the integral over r < r_min = 2.7e-23
+    that the rule leaves out; it matters only for |1 - x| within a few
+    powers of ten of 2^-53.
+
+    Bailey's rule assumes the three sums are already converging.  Where the
+    4h sum is more than 1 % off (``UNRESOLVED``), as when a large a packs
+    the integrand's mass into a narrow peak near r = |1 - x| < 1e-10, all
+    three sums can miss it alike: at m = 4, a = 17.55, x = 1 - 5.7e-15 the
+    rule puts the error at 1e-6 and the value is off by 100 %.  Such a call
+    declines at any tol.
 
     Returns the record (value, 225, estimate) of the 3F2, or None when the
-    value is not finite, a node overflows, or the estimate exceeds
-    tol |value| (an integrand oscillating at large a |arg(1 - x s)|, or a
-    tol below what the rule resolves): the caller then sums the series.
+    value is not finite, a node overflows, the rule is unresolved, or the
+    estimate exceeds tol |value| (an integrand oscillating at large
+    a |arg(1 - x s)|, or a tol below what the rule resolves): the caller
+    then sums the series.
     """
     one_minus_x = 1.0 - x
+    groups = rule(m)
+    nodes = groups[0]  # k = -112 first and k = 112 last
     sums = []
     size = 0.0
     try:
-        for group in rule(m):
+        for group in groups:
             acc = 0j
             for r, wp in group:
                 f = wp * (one_minus_x + x * r) ** -a
                 acc += f
                 size += abs(f)
             sums.append(acc)
+        ends = max(abs(wp * (one_minus_x + x * r) ** -a) for r, wp in (nodes[0], nodes[-1]))
     except OverflowError:
         return None
     coarse = sums[0] * (4.0 * STEP)
@@ -169,14 +188,16 @@ def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
         return None
     gap1 = abs(value - middle) / abs(value)
     gap2 = abs(value - coarse) / abs(value)
+    if gap2 > UNRESOLVED:
+        return None
     if gap1 == 0.0:
         discretization = 0.0
-    elif gap1 < gap2 < 1.0:
+    elif gap1 < gap2:
         d1, d2 = math.log(gap1), math.log(gap2)
         discretization = math.exp(max(d1 * d1 / d2, 2.0 * d1))
     else:  # the gaps do not shrink: no rate to extrapolate
         discretization = max(gap1, gap2)
-    estimate = discretization * abs(value) + 4.0 * _EPS * size * STEP
+    estimate = discretization * abs(value) + (ends + 4.0 * _EPS * size) * STEP
     if not estimate <= tol * abs(value):
         return None
     scale = math.factorial(m) ** 2

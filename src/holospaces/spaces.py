@@ -10,10 +10,11 @@ in t = <z, w>, with x = t/R^2 and extra = (alpha+n+1,) on the ball (3F2) and
 x = nu t and no extra parameter on the plane (2F2).  The flat limit
 alpha = nu R^2, R -> infinity, turns the first into the second.
 
-Near |x| = 1 the ball's 3F2 series needs about 32/(1 - |x|) terms.  There,
-for m <= 4, the closed kernel takes the 3F2 from a fixed 225-node integral
-(``_ball_integral``), and sums the series only where that integral does not
-meet its tolerance.
+Near |x| = 1 the ball's 3F2 series needs about 32/(1 - |x|) terms.  From
+|x| = 0.85 on, for m <= 4 and wherever the series would run past the 150
+terms that cost as much as the integral, the closed kernel takes the 3F2
+from a fixed 225-node integral (``_ball_integral``), and sums the series
+only where that integral does not meet its tolerance.
 
 A space supplies what differs (see ``Space``); everything here is generic,
 down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
@@ -195,10 +196,38 @@ def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
     return HypergeometricSpec((1.0, 1.0, *extra), (m + 1.0, m + 1.0))
 
 
-# |x| from which the ball's 3F2 series runs to about 200 terms and more, and
-# the orders m up to which ``_ball_integral`` evaluates it instead
+# The ball's 3F2 goes to ``_ball_integral`` for m up to _INTEGRAL_MAX_ORDER,
+# |x| >= _INTEGRAL_MIN_ARGUMENT, and a series longer than _INTEGRAL_MIN_TERMS
+# terms: warm, the 225 nodes cost 65-160 us and a series term 0.5-0.9 us, and
+# of 588 timed cells (m = 1..4, a = 1.2..23, |x| = 0.85..0.99, three phases)
+# the series was the faster in 93 of 104 below 150 terms and 5 of 53 from
+# 150 to 200
 _INTEGRAL_MIN_ARGUMENT = 0.85
 _INTEGRAL_MAX_ORDER = 4
+_INTEGRAL_MIN_TERMS = 150
+
+
+def _series_outlasts(a: float, m: int, size: float, tol: float) -> bool:
+    """Whether 3F2(1, 1, a; m+1, m+1; x) at |x| = size is still above tol at
+    term _INTEGRAL_MIN_TERMS, so that ``eval_pfq`` would run past it.
+
+    The term is (a)_N N!/((m+1)_N)^2 |x|^N, which falls like
+    N^(a-1-2m) |x|^N once past its peak; a term still rising is above tol
+    too, as the series starts at 1.  The stop rule compares terms with the
+    partial sum, not with 1, so the length is over-estimated where the sum
+    is large (large a near x = 1), which only sends long series to the
+    integral sooner.  An a whose log-gamma overflows makes terms that rise
+    beyond the float range: the series is long, and the integral overflows
+    and declines.
+    """
+    n = _INTEGRAL_MIN_TERMS
+    try:
+        log_term = math.lgamma(a + n) - math.lgamma(a)
+    except OverflowError:
+        return True
+    log_term += (math.lgamma(n + 1.0) + 2.0 * (math.lgamma(m + 1.0) - math.lgamma(m + 1.0 + n))
+                 + n * math.log(size))
+    return log_term > math.log(tol)
 
 
 def _log1m(x: complex) -> complex:
@@ -272,7 +301,8 @@ def kernel_closed_detail(
     """Closed-form kernel at t = <z, w>, plus its evaluation record.
 
     For m >= 1 the record is that of the pFq factor.  On the ball with
-    m <= 4 and |x| >= 0.85 the factor is first taken from a fixed 225-node
+    m <= 4, |x| >= 0.85 and a series predicted to run past 150 terms
+    (``_series_outlasts``) the factor is first taken from a fixed 225-node
     integral (``_ball_integral.high_part``), whose record holds 225 and its
     error estimate; ``max_terms`` does not bound it.  Where that integral
     does not meet ``tol``, and everywhere else, the record is ``eval_pfq``'s.
@@ -285,8 +315,9 @@ def kernel_closed_detail(
     low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
     f = None
     # max_terms < 1 is left to eval_pfq, which rejects it
-    if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER
-            and abs(x) >= _INTEGRAL_MIN_ARGUMENT and max_terms >= 1):
+    if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER and max_terms >= 1
+            and abs(x) >= _INTEGRAL_MIN_ARGUMENT
+            and _series_outlasts(space.pfq_extra[0], space.m, abs(x), tol)):
         from . import _ball_integral  # compiled only by a process that needs it
 
         f = _ball_integral.high_part(space.pfq_extra[0], space.m, x, tol)

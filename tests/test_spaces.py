@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_polynomial
-from holospaces import _ball_integral, bargmann, bergman
+from holospaces import _ball_integral, bargmann, bergman, spaces
 from holospaces.errors import DomainError, NonconvergenceError
 from holospaces.hypergeo import ComplexCompensatedSum, HypergeometricSpec, eval_pfq
 from holospaces.taylor import inner
@@ -276,3 +276,57 @@ def test_weight_branches_agree_at_half():
         taylor = _ball_integral.weight(m, 0.5, 0.5, True)
         log_form = _ball_integral.weight(m, 0.5, 0.5, False)
         assert abs(taylor - log_form) <= 2 * eps * log_form, m
+
+
+def test_ball_integral_declines_at_the_last_float_below_one():
+    # at x = 1 - 2^-53 the 4h sum is 19 % off the h sum, and the end-point
+    # term, for the tail below the last node, is 7e-14 of the value: either
+    # makes the call fall back to the series and repeat its outcome
+    space = bergman.BergmanDirichletSpace(1, 0.5, 1)
+    t = 1.0 - 2.0**-53
+    assert _ball_integral.high_part(space.pfq_extra[0], 1, complex(t), 1e-14) is None
+    expected = _outcome(_reference_closed_detail, space, t)
+    assert _outcome(bergman.kernel_closed_detail, space, t) == expected
+
+
+def test_unresolved_ball_integral_declines_at_any_tol():
+    # a = 17.55 packs the integrand into a peak near r = 5.7e-15 that the
+    # 4h, 2h and h sums all miss: extrapolated, their gaps put the error at
+    # 1e-6, and the value is off by 100 %
+    assert _ball_integral.high_part(17.55, 4, complex(1.0 - 5.67e-15), 1e-3) is None
+
+
+def test_series_length_estimate_matches_eval_pfq():
+    # the switch to the integral predicts whether the series outlasts
+    # _INTEGRAL_MIN_TERMS terms; away from that length it must be right
+    limit = spaces._INTEGRAL_MIN_TERMS
+    for m in range(1, 5):
+        for a in (1.2, 3.5, 8.0, 14.0):
+            spec = HypergeometricSpec((1.0, 1.0, a), (m + 1.0, m + 1.0))
+            for size in (0.85, 0.9, 0.95, 0.99):
+                for phase in (0.0, 2.0):
+                    try:
+                        terms = eval_pfq(spec, cmath.rect(size, phase)).terms_used
+                    except NonconvergenceError:
+                        terms = math.inf
+                    predicted = spaces._series_outlasts(a, m, size, 1e-14)
+                    case = (m, a, size, phase, terms)
+                    if terms >= 1.15 * limit:
+                        assert predicted, case
+                    elif terms <= limit / 1.15:
+                        assert not predicted, case
+
+
+@pytest.mark.parametrize("m, u, integral", [
+    (4, 0.85, False),  # the series stops after 83 terms and is kept bit for bit
+    (4, -0.85j, False),
+    (4, 0.99, True),
+    (1, 0.86, True),  # 214 terms
+])
+def test_near_boundary_switch_follows_the_series_length(m, u, integral):
+    space = bergman.BergmanDirichletSpace(2, 0.5, m)
+    if integral:
+        assert bergman.kernel_closed_detail(space, u)[1].terms_used == 225
+    else:
+        expected = _outcome(_reference_closed_detail, space, u)
+        assert _outcome(bergman.kernel_closed_detail, space, u) == expected
