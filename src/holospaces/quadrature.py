@@ -33,19 +33,25 @@ J = L L^T, which keeps nodes near 0 accurate relative to their size.
 Integrands are vectorized: a callable mapping an (npts, n) complex array of
 points to an (npts,) array of values.
 
-Series integrands (``SeriesProduct``) are evaluated from a power table
-only.  The grid is a tensor product, so each coordinate takes few distinct
-values (3,300 at n = 2, capacity 16, against 108,900 points).
-``QuadratureGrid.coordinate_powers`` scales those values once for the
-space's R or nu and raises each power once; ``evaluate_series`` broadcasts a
-power over the grid.  The results are bit-identical to raising every power
-on the scaled point array, and that takes care: numpy's complex multiply may
-be FMA-contracted, so ``a * b`` and ``b * a`` can differ in the last bit, and
-numpy reuses a temporary operand of at least 256 KiB as the output, which
-turns ``term * power`` into ``power * term`` on large grids only.  Every
-expression therefore keeps the shape it would have on point arrays: a power
-is a fresh array, a pair is ``evaluate(f) * conj(evaluate(g))``, and a
-series paired with itself, evaluated once, is ``np.multiply(v, conj(v))``.
+Series integrands (``SeriesProduct``) are integrated by sum factorization
+(Orszag, J. Comput. Phys. 37, 1980), with no value at any point.  The grid
+is a tensor product over the radial and u nodes (t, u) and the angles
+theta_1, theta_2, and a monomial pair z^p conj(z^q) at scale c separates
+over them, so its rule sum is c^{|p|+|q|} A[p+q] T[p_1-q_1] T[p_2-q_2] with
+
+* the moment table A[j_1, j_2] = sum over (t, u) of the node weight times
+  |z_1|^j_1 |z_2|^j_2 (A[j] at n = 1), for j up to twice the capacity, and
+* the torus sums T[k] = w_theta sum_theta e^{ik theta}, from the grid's
+  own angles, for |k| up to twice the capacity.
+
+This is the same rule as the sum over the grid's points, grouped by factor;
+only the rounding differs, by a few eps times sum |f_p||g_q| quad(|z^p||z^q|).
+``QuadratureGrid.series_tables`` fills both tables once per grid and every
+scale shares them: at n = 2, capacity 16 they hold 1,089 moments and 65
+torus sums against 108,900 points.  Every sum is an elementwise product
+reduced by ``np.sum``, never a BLAS call (``@``, ``dot``, ``einsum``): BLAS
+builds differ in blocking and thread count, and the pinned outputs must not
+depend on them.
 """
 
 from __future__ import annotations
@@ -134,6 +140,12 @@ def _laguerre(count: int):
     return _gauss(k + 1.0, k[1:], 1.0)
 
 
+def _torus(count: int):
+    """Phases e^{i theta} of ``count`` equispaced angles, and the weight of each."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    return np.exp(1j * theta), 2.0 * np.pi / count
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Precomputed tensor-product rule on the unit ball or the Gaussian plane.
@@ -155,9 +167,9 @@ class QuadratureGrid:
     theta_count: int
     points: np.ndarray
     weights: np.ndarray
-    # One scale's coordinate power table, filled on first use by
-    # ``coordinate_powers``; holds no array until then.
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
+    # The moment table and torus sums of ``series_tables``, filled on first
+    # use; holds no array until then.
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def for_ball(cls, n: int, alpha: float, capacity: int = DEFAULT_CAPACITY) -> "QuadratureGrid":
@@ -182,9 +194,7 @@ class QuadratureGrid:
         n_rad = n_u = capacity // 2 + 2
         m_theta = 2 * capacity + 1
         tt, wt = radial_rule(n_rad)
-        theta = 2.0 * np.pi * np.arange(m_theta) / m_theta
-        phase = np.exp(1j * theta)
-        w_theta = 2.0 * np.pi / m_theta
+        phase, w_theta = _torus(m_theta)
         # Jacobian in t: the measure contributes t^(n-1) dt / 2 after t = r^2.
         radial_factor = 0.5 * wt * tt ** (n - 1)
         if n == 1:
@@ -198,7 +208,9 @@ class QuadratureGrid:
             shape = (len(tt), n_u, m_theta, m_theta)
             z1 = np.broadcast_to(r1[:, :, None, None] * phase[None, None, :, None], shape)
             z2 = np.broadcast_to(r2[:, :, None, None] * phase[None, None, None, :], shape)
-            # eager on purpose: lazy points let glibc mmap the series temporaries (verify 0.7x)
+            # eager: every integrand but a series product is evaluated at the
+            # points, and callers read them (the benchmark's span recorder
+            # counts them per grid built and per integral)
             pts = np.stack([z1, z2], axis=-1).reshape(-1, 2)
             # sphere measure: dsigma = (du/2) dth1 dth2
             wgt = (
@@ -221,53 +233,38 @@ class QuadratureGrid:
             weights=wgt,
         )
 
-    def coordinate_powers(self, key, scale) -> "CoordinatePowers":
-        """Power table of the points mapped by ``scale``, named by ``key``.
+    def series_tables(self):
+        """The moment table and torus sums of the unit-scale rule (see the
+        module notes), filled on first use and kept by the grid.
 
-        ``scale`` maps a complex array of points elementwise (the
-        integrator's ``radius * pts`` or ``pts / sqrt(nu)``); it is applied
-        to each coordinate's distinct values only.  The grid keeps the table
-        of the last key it was asked for and drops any other.
+        ``moments[j1, j2]`` (``moments[j]`` at n = 1) sums the weight of the
+        (t, u) nodes times |z1|^j1 |z2|^j2 for j up to 2 * capacity;
+        ``torus[2 * capacity + k]`` is w_theta sum_theta e^{ik theta} for
+        |k| <= 2 * capacity.
         """
-        table = self._powers.get(key)
-        if table is None:
-            self._powers.clear()
+        tables = self._tables
+        if not tables:
+            top = 2 * self.capacity
+            exponents = np.arange(top + 1)
+            tt = self.radial_nodes
+            weight = 0.5 * self.radial_weights * tt ** (self.n - 1)
+            # |z1|^j1 |z2|^j2 = t^((j1+j2)/2) u^(j1/2) (1-u)^(j2/2): the
+            # radial sums times the sphere's, both positive
+            radial = np.sum(weight[:, None] * np.sqrt(tt)[:, None] ** np.arange(self.n * top + 1),
+                            axis=0)
             if self.n == 1:
-                shape, coords = self.points.shape[:1], [self.points[:, 0]]
+                moments = radial
             else:
-                # points run over (t, u, theta1, theta2); z1 does not depend
-                # on theta2, nor z2 on theta1
-                shape = (len(self.radial_nodes), len(self.u_nodes), self.theta_count,
-                         self.theta_count)
-                tensor = self.points.reshape(*shape, 2)
-                coords = [tensor[:, :, :, :1, 0], tensor[:, :, :1, :, 1]]
-            table = self._powers[key] = CoordinatePowers(shape, [scale(c) for c in coords])
-        return table
-
-
-class CoordinatePowers:
-    """Scaled coordinates of a tensor grid, each power raised once.
-
-    ``coords[j]`` holds the distinct values of coordinate j, shaped to
-    broadcast over the grid's tensor ``shape``; ``power`` returns a power at
-    every point, in the order of the grid's ``points``.
-    """
-
-    def __init__(self, shape: tuple, coords: list):
-        self.shape = shape
-        self.count = math.prod(shape)
-        self.coords = coords
-        self._tables = {}
-        # spare pairs of complex arrays of one value per point, which series
-        # products fill instead of fresh arrays (see SeriesProduct)
-        self._spare_buffers = []
-
-    def power(self, axis: int, exponent: int) -> np.ndarray:
-        table = self._tables.get((axis, exponent))
-        if table is None:
-            table = self._tables[axis, exponent] = self.coords[axis] ** exponent
-        # a fresh array, a temporary as ``pts[:, axis] ** exponent`` is
-        return np.broadcast_to(table, self.shape).flatten()
+                uu = self.u_nodes
+                sphere = np.sum((0.5 * self.u_weights)[:, None, None]
+                                * (np.sqrt(uu)[:, None] ** exponents)[:, :, None]
+                                * (np.sqrt(1.0 - uu)[:, None] ** exponents)[:, None, :], axis=0)
+                moments = radial[exponents[:, None] + exponents[None, :]] * sphere
+            phase, w_theta = _torus(self.theta_count)
+            half = w_theta * np.sum(phase[:, None] ** exponents, axis=0)
+            # T[-k] = conj(T[k]), the sum of the conjugate phases
+            tables.update(moments=moments, torus=np.concatenate((np.conj(half[:0:-1]), half)))
+        return tables["moments"], tables["torus"]
 
 
 def _check_capacity(grid: QuadratureGrid, degree) -> None:
@@ -277,12 +274,12 @@ def _check_capacity(grid: QuadratureGrid, degree) -> None:
         )
 
 
-def _grid_values(integrand, grid: QuadratureGrid, key, scale):
-    """``integrand`` at the grid's points mapped by ``scale``; a series
-    product reads them from the grid's power table for ``key``."""
+def _rule_sum(integrand, grid: QuadratureGrid, scale: float) -> complex:
+    """The grid's unit-scale rule applied to ``integrand`` at the points
+    times ``scale``; a series product is summed from the grid's tables."""
     if isinstance(integrand, SeriesProduct):
-        return integrand(grid.coordinate_powers(key, scale))
-    return integrand(scale(grid.points))
+        return integrand.rule_sum(grid, scale)
+    return np.sum(grid.weights * np.asarray(integrand(scale * grid.points)))
 
 
 def integrate_ball(
@@ -308,8 +305,7 @@ def integrate_ball(
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
     _check_capacity(grid, degree)
-    values = np.asarray(_grid_values(integrand, grid, radius, lambda pts: radius * pts))
-    return complex(radius ** (2 * n) * np.sum(grid.weights * values))
+    return complex(radius ** (2 * n) * _rule_sum(integrand, grid, radius))
 
 
 def integrate_gaussian(
@@ -327,8 +323,7 @@ def integrate_gaussian(
     if not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
     _check_capacity(grid, degree)
-    values = np.asarray(_grid_values(integrand, grid, nu, lambda pts: pts / math.sqrt(nu)))
-    return complex(nu ** (-n) * np.sum(grid.weights * values))
+    return complex(nu ** (-n) * _rule_sum(integrand, grid, 1.0 / math.sqrt(nu)))
 
 
 def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
@@ -336,14 +331,12 @@ def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
     if grid.n != 2:
         raise ValueError("sphere integration is defined for n = 2 grids")
     m_theta = grid.theta_count
-    theta = 2.0 * np.pi * np.arange(m_theta) / m_theta
-    phase = np.exp(1j * theta)
+    phase, w_theta = _torus(m_theta)
     uu, wu = grid.u_nodes, grid.u_weights
     xi1 = np.sqrt(uu)[:, None, None] * phase[None, :, None]
     xi2 = np.sqrt(1.0 - uu)[:, None, None] * phase[None, None, :]
     pts = np.stack([np.broadcast_to(xi1, (len(uu), m_theta, m_theta)),
                     np.broadcast_to(xi2, (len(uu), m_theta, m_theta))], axis=-1).reshape(-1, 2)
-    w_theta = 2.0 * np.pi / m_theta
     wgt = (
         (0.5 * wu)[:, None, None] * np.full((m_theta, m_theta), w_theta * w_theta)[None, :, :]
     ).reshape(-1)
@@ -351,56 +344,55 @@ def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
     return complex(np.sum(wgt * values))
 
 
-def evaluate_series(f: TaylorSeries, points: CoordinatePowers) -> np.ndarray:
-    """Vectorized polynomial evaluation at every point of a grid, from the
-    grid's ``CoordinatePowers`` (see the module notes)."""
-    return _add_series(f, points, np.zeros(points.count, dtype=complex))
-
-
-def _add_series(f: TaylorSeries, points: CoordinatePowers, values: np.ndarray) -> np.ndarray:
-    """``values`` plus f at every point of the grid, summed into ``values``."""
+def evaluate_series(f: TaylorSeries, points) -> np.ndarray:
+    """f at each row of an (npts, n) complex point array, summed in
+    canonical order."""
+    pts = np.asarray(points)
+    values = np.zeros(pts.shape[0], dtype=complex)
     for p in canonical_order(f.coefficients):
-        term = np.full(points.count, f.coefficients[p])
+        term = np.full(pts.shape[0], f.coefficients[p])
         for axis, exponent in enumerate(p):
             if exponent:
-                term = term * points.power(axis, exponent)
+                term = term * pts[:, axis] ** exponent
         values += term
     return values
 
 
-class SeriesProduct:
-    """The integrand f * conj(g) of two series; ``integrate_*`` evaluate it
-    from the grid's power table.
+def _terms(f: TaylorSeries):
+    """Exponents (terms x n) and coefficients of f, in canonical order."""
+    keys = canonical_order(f.coefficients)
+    exponents = np.array(keys, dtype=np.int64).reshape(len(keys), f.dimension)
+    return exponents, np.array([f.coefficients[p] for p in keys], dtype=complex)
 
-    f and g are summed into a pair of arrays that the table keeps from one
-    call to the next, so a product allocates only its result: on large grids
-    four fresh arrays per product made the allocator hand memory back to the
-    system and fault it in again on every call.  A call that finds no spare
-    pair (the first, or one running while another holds it) makes its own.
+
+class SeriesProduct:
+    """The integrand f * conj(g) of two series.
+
+    ``integrate_ball`` and ``integrate_gaussian`` sum it from the grid's
+    tables (``rule_sum``); called on an (npts, n) point array, as
+    ``integrate_sphere`` does, it is evaluated at each point.
     """
 
     def __init__(self, f: TaylorSeries, g: TaylorSeries):
         self.f, self.g = f, g
 
-    def __call__(self, points: CoordinatePowers) -> np.ndarray:
-        spare = points._spare_buffers
-        try:
-            a, b = spare.pop()
-        except IndexError:
-            a, b = np.empty(points.count, dtype=complex), np.empty(points.count, dtype=complex)
-        try:
-            a.fill(0.0)
-            _add_series(self.f, points, a)
-            if self.f == self.g:
-                np.conj(a, out=b)
-            else:
-                b.fill(0.0)
-                np.conj(_add_series(self.g, points, b), out=b)
-            # f times conj(g) in this order, as the expression
-            # evaluate_series(f) * np.conj(evaluate_series(g)) computes it
-            return np.multiply(a, b)
-        finally:
-            spare.append((a, b))
+    def __call__(self, points) -> np.ndarray:
+        return evaluate_series(self.f, points) * np.conj(evaluate_series(self.g, points))
+
+    def rule_sum(self, grid: QuadratureGrid, scale: float) -> complex:
+        """The grid's unit-scale rule applied to f(scale z) conj(g(scale z)):
+        the sum over term pairs of f_p conj(g_q) scale^{|p|+|q|} A[p+q]
+        T[p_1-q_1] ... T[p_n-q_n] (see the module notes)."""
+        # beyond the capacity the table indices would leave the tables
+        _check_capacity(grid, max(self.f.max_degree, self.g.max_degree, 0))
+        moments, torus = grid.series_tables()
+        p, a = _terms(self.f)
+        q, b = _terms(self.g)
+        sums = tuple(p[:, j, None] + q[None, :, j] for j in range(grid.n))
+        terms = a[:, None] * np.conj(b)[None, :] * scale ** sum(sums) * moments[sums]
+        for j in range(grid.n):
+            terms = terms * torus[2 * grid.capacity + p[:, j, None] - q[None, :, j]]
+        return np.sum(terms)
 
 
 @lru_cache(maxsize=64)
