@@ -17,12 +17,13 @@ MultiIndex = tuple  # tuple[int, ...]
 
 def as_multiindex(p) -> tuple[int, ...]:
     """Coerce to a validated exponent tuple (length >= 1, entries >= 0)."""
-    q = tuple(int(x) for x in p)
-    if len(q) < 1:
+    q = tuple(map(int, p))
+    if not q:
         raise ValueError("multi-index must have at least one entry")
-    if any(x != y for x, y in zip(q, p)):
+    # a tuple equal to q holds integers already; anything else is compared entry by entry
+    if q != p and any(x != y for x, y in zip(q, p)):
         raise ValueError(f"multi-index entries must be integers, got {p!r}")
-    if any(x < 0 for x in q):
+    if min(q) < 0:
         raise ValueError(f"multi-index entries must be nonnegative, got {q}")
     return q
 

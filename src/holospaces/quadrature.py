@@ -35,23 +35,24 @@ points to an (npts,) array of values.
 
 Series integrands (``SeriesProduct``) are integrated by sum factorization
 (Orszag, J. Comput. Phys. 37, 1980), with no value at any point.  The grid
-is a tensor product over the radial and u nodes (t, u) and the angles
-theta_1, theta_2, and a monomial pair z^p conj(z^q) at scale c separates
-over them, so its rule sum is c^{|p|+|q|} A[p+q] T[p_1-q_1] T[p_2-q_2] with
+is a tensor product over the (t, u) nodes and the angles, so a monomial pair
+z^p conj(z^q) sums to A[p+q] T[p-q] at unit scale: A[j] sums the (t, u) node
+weights times |z_1|^j_1 |z_2|^j_2, and T[k] is the product over coordinates of
+w_theta sum_theta e^{i k_i theta} (``series_tables``).  The order-m product
+pairs the parts below degree m plainly and the rest as sum_{|r|=m} (m!/r!)
+<d^r f, d^r g>, d^r z^p = perm(p, r) z^{p-r} (0 unless r <= p), so on the
+monomials of degree <= capacity it is one Gram table, 0 across the blocks:
 
-* the moment table A[j_1, j_2] = sum over (t, u) of the node weight times
-  |z_1|^j_1 |z_2|^j_2 (A[j] at n = 1), for j up to twice the capacity, and
-* the torus sums T[k] = w_theta sum_theta e^{ik theta}, from the grid's
-  own angles, for |k| up to twice the capacity.
+    G_m[p, q] = A[p+q] T[p-q]                                             if |p|, |q| < m
+    G_m[p, q] = sum_{|r|=m} (m!/r!) perm(p, r) perm(q, r) A[p+q-2r] T[p-q]  if |p|, |q| >= m
 
-This is the same rule as the sum over the grid's points, grouped by factor;
-only the rounding differs, by a few eps times sum |f_p||g_q| quad(|z^p||z^q|).
-``QuadratureGrid.series_tables`` fills both tables once per grid and every
-scale shares them: at n = 2, capacity 16 they hold 1,089 moments and 65
-torus sums against 108,900 points.  Every sum is an elementwise product
-reduced by ``np.sum``, never a BLAS call (``@``, ``dot``, ``einsum``): BLAS
-builds differ in blocking and thread count, and the pinned outputs must not
-depend on them.
+At scale c (R, or nu^{-1/2}) f_p carries c^{|p|}, or c^{|p|-m} from degree m
+on, so ``QuadratureGrid.sobolev_table`` keys G_m by m alone for every scale:
+153 x 153 complex (375 KB) at n = 2, capacity 16, against 108,900 points.
+Order 0 is the plain product.  Only rounding separates this from the sum at
+the points, a few eps times the same sum of |f_p||g_q| quad(|d^r z^p||d^r z^q|).
+Sums are elementwise products reduced by ``np.sum``, never BLAS (``@``,
+``dot``, ``einsum``), whose builds differ in blocking and thread count.
 """
 
 from __future__ import annotations
@@ -165,10 +166,9 @@ class QuadratureGrid:
     u_nodes: np.ndarray | None
     u_weights: np.ndarray | None
     theta_count: int
-    points: np.ndarray
     weights: np.ndarray
-    # The moment table and torus sums of ``series_tables``, filled on first
-    # use; holds no array until then.
+    # ``points``, the tables of ``series_tables`` and the Gram tables of
+    # ``sobolev_table``, each filled on first use; no array until then.
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -194,24 +194,14 @@ class QuadratureGrid:
         n_rad = n_u = capacity // 2 + 2
         m_theta = 2 * capacity + 1
         tt, wt = radial_rule(n_rad)
-        phase, w_theta = _torus(m_theta)
+        w_theta = _torus(m_theta)[1]
         # Jacobian in t: the measure contributes t^(n-1) dt / 2 after t = r^2.
         radial_factor = 0.5 * wt * tt ** (n - 1)
         if n == 1:
-            pts = (np.sqrt(tt)[:, None] * phase[None, :]).reshape(-1, 1)
             wgt = (radial_factor[:, None] * np.full(m_theta, w_theta)[None, :]).reshape(-1)
             u_nodes = u_weights = None
         else:
             uu, wu = _jacobi01(n_u, 0.0)
-            r1 = np.sqrt(tt[:, None] * uu[None, :])  # |z1| over (t, u)
-            r2 = np.sqrt(tt[:, None] * (1.0 - uu)[None, :])
-            shape = (len(tt), n_u, m_theta, m_theta)
-            z1 = np.broadcast_to(r1[:, :, None, None] * phase[None, None, :, None], shape)
-            z2 = np.broadcast_to(r2[:, :, None, None] * phase[None, None, None, :], shape)
-            # eager: every integrand but a series product is evaluated at the
-            # points, and callers read them (the benchmark's span recorder
-            # counts them per grid built and per integral)
-            pts = np.stack([z1, z2], axis=-1).reshape(-1, 2)
             # sphere measure: dsigma = (du/2) dth1 dth2
             wgt = (
                 radial_factor[:, None, None, None]
@@ -229,21 +219,36 @@ class QuadratureGrid:
             u_nodes=u_nodes,
             u_weights=u_weights,
             theta_count=m_theta,
-            points=pts,
             weights=wgt,
         )
 
-    def series_tables(self):
-        """The moment table and torus sums of the unit-scale rule (see the
-        module notes), filled on first use and kept by the grid.
-
-        ``moments[j1, j2]`` (``moments[j]`` at n = 1) sums the weight of the
-        (t, u) nodes times |z1|^j1 |z2|^j2 for j up to 2 * capacity;
-        ``torus[2 * capacity + k]`` is w_theta sum_theta e^{ik theta} for
-        |k| <= 2 * capacity.
-        """
+    @property
+    def points(self) -> np.ndarray:
+        """The flattened (npts, n) unit-scale points, matching ``weights``,
+        built on first use and kept by the grid: only a plain callable is
+        evaluated at them, never a series product."""
         tables = self._tables
-        if not tables:
+        if "points" not in tables:
+            tt, phase = self.radial_nodes, _torus(self.theta_count)[0]
+            if self.n == 1:
+                tables["points"] = (np.sqrt(tt)[:, None] * phase[None, :]).reshape(-1, 1)
+            else:
+                uu = self.u_nodes
+                r1 = np.sqrt(tt[:, None] * uu[None, :])  # |z1| over (t, u)
+                r2 = np.sqrt(tt[:, None] * (1.0 - uu)[None, :])
+                shape = (len(tt), len(uu), self.theta_count, self.theta_count)
+                z1 = np.broadcast_to(r1[:, :, None, None] * phase[None, None, :, None], shape)
+                z2 = np.broadcast_to(r2[:, :, None, None] * phase[None, None, None, :], shape)
+                tables["points"] = np.stack([z1, z2], axis=-1).reshape(-1, 2)
+        return tables["points"]
+
+    def series_tables(self):
+        """The moments A[j] and torus products T[k] of the unit-scale rule
+        (module notes) for j and |k| up to top = 2 * capacity, as
+        ``moments[j1, j2]`` and ``torus[top + k1, top + k2]`` (one index at
+        n = 1), filled on first use and kept by the grid."""
+        tables = self._tables
+        if "moments" not in tables:
             top = 2 * self.capacity
             exponents = np.arange(top + 1)
             tt = self.radial_nodes
@@ -263,8 +268,42 @@ class QuadratureGrid:
             phase, w_theta = _torus(self.theta_count)
             half = w_theta * np.sum(phase[:, None] ** exponents, axis=0)
             # T[-k] = conj(T[k]), the sum of the conjugate phases
-            tables.update(moments=moments, torus=np.concatenate((np.conj(half[:0:-1]), half)))
+            torus = np.concatenate((np.conj(half[:0:-1]), half))
+            order = [p for k in range(self.capacity + 1) for p in mi.enumerate_indices(self.n, k)]
+            tables.update(moments=moments, torus=torus if self.n == 1 else torus[:, None] * torus,
+                          index={p: i for i, p in enumerate(order)},
+                          exponents=np.array(order).T.copy())  # one row per coordinate
         return tables["moments"], tables["torus"]
+
+    def sobolev_table(self, m: int):
+        """(index, powers, G_m), filled on first use and kept by the grid:
+        the canonical position of each monomial of degree <= capacity, the
+        power of the scale on its coefficient, and the order-m Gram table."""
+        tables = self._tables
+        if m not in tables:
+            moments, torus = self.series_tables()
+            e = tables["exponents"]
+            degree = e.sum(axis=0)
+            low = degree < m
+            # (weight, factor of each monomial, r): the low parts pair plainly,
+            # the rest through the partials d^r z^p = perm(p, r) z^(p-r), |r| = m
+            parts = [(1, 1.0 * low, (0,) * self.n)]
+            if m <= self.capacity:
+                falling = np.array([[math.perm(k, j) for j in range(m + 1)]
+                                    for k in range(self.capacity + 1)], dtype=float)
+                parts += [(math.factorial(m) // mi.multifactorial(r),  # m!/r!, exact
+                           np.prod(falling[e, np.array(r)[:, None]], axis=0), r)
+                          for r in mi.enumerate_indices(self.n, m)]
+            gram = np.zeros((len(degree), len(degree)))
+            for weight, factor, r in parts:
+                # only the block where the factor is not 0, so p - r >= 0
+                rows = np.flatnonzero(factor)
+                lowered = e[:, rows] - np.array(r)[:, None]  # the exponents p - r
+                block = moments[tuple(row[:, None] + row for row in lowered)]
+                gram[np.ix_(rows, rows)] += weight * factor[rows, None] * factor[rows] * block
+            gram = gram * torus[tuple(2 * self.capacity + row[:, None] - row for row in e)]
+            tables[m] = np.where(low, degree, degree - m).tolist(), gram
+        return (tables["index"], *tables[m])
 
 
 def _check_capacity(grid: QuadratureGrid, degree) -> None:
@@ -358,41 +397,45 @@ def evaluate_series(f: TaylorSeries, points) -> np.ndarray:
     return values
 
 
-def _terms(f: TaylorSeries):
-    """Exponents (terms x n) and coefficients of f, in canonical order."""
-    keys = canonical_order(f.coefficients)
-    exponents = np.array(keys, dtype=np.int64).reshape(len(keys), f.dimension)
-    return exponents, np.array([f.coefficients[p] for p in keys], dtype=complex)
+def _terms(f: TaylorSeries, index: dict, powers: list, scale: float):
+    """Table positions of f's terms in canonical order, and their
+    coefficients times scale^powers; KeyError for a term beyond the table."""
+    rows = sorted((index[p], a) for p, a in f.coefficients.items())
+    return (np.array([i for i, _ in rows], dtype=np.intp),
+            np.array([a * scale ** powers[i] for i, a in rows], dtype=complex))
 
 
 class SeriesProduct:
-    """The integrand f * conj(g) of two series.
+    """The order-m inner product integrand of two series, f * conj(g) at m = 0.
 
-    ``integrate_ball`` and ``integrate_gaussian`` sum it from the grid's
-    tables (``rule_sum``); called on an (npts, n) point array, as
-    ``integrate_sphere`` does, it is evaluated at each point.
+    ``integrate_ball`` and ``integrate_gaussian`` sum it from the grid's Gram
+    table (``rule_sum``); at m = 0 it can also be evaluated at an (npts, n)
+    point array, as ``integrate_sphere`` does.
     """
 
-    def __init__(self, f: TaylorSeries, g: TaylorSeries):
-        self.f, self.g = f, g
+    def __init__(self, f: TaylorSeries, g: TaylorSeries, m: int = 0):
+        self.f, self.g, self.m = f, g, m
 
     def __call__(self, points) -> np.ndarray:
+        if self.m:
+            raise ValueError("an order-m > 0 product is summed from the grid's tables only")
         return evaluate_series(self.f, points) * np.conj(evaluate_series(self.g, points))
 
     def rule_sum(self, grid: QuadratureGrid, scale: float) -> complex:
-        """The grid's unit-scale rule applied to f(scale z) conj(g(scale z)):
-        the sum over term pairs of f_p conj(g_q) scale^{|p|+|q|} A[p+q]
-        T[p_1-q_1] ... T[p_n-q_n] (see the module notes)."""
-        # beyond the capacity the table indices would leave the tables
-        _check_capacity(grid, max(self.f.max_degree, self.g.max_degree, 0))
-        moments, torus = grid.series_tables()
-        p, a = _terms(self.f)
-        q, b = _terms(self.g)
-        sums = tuple(p[:, j, None] + q[None, :, j] for j in range(grid.n))
-        terms = a[:, None] * np.conj(b)[None, :] * scale ** sum(sums) * moments[sums]
-        for j in range(grid.n):
-            terms = terms * torus[2 * grid.capacity + p[:, j, None] - q[None, :, j]]
-        return np.sum(terms)
+        """The grid's unit-scale rule applied to the order-m product at
+        ``scale``: the sum over term pairs of f_p scale^{e_p}
+        conj(g_q scale^{e_q}) G_m[p, q] (see the module notes)."""
+        f, g = self.f, self.g
+        index, powers, gram = grid.sobolev_table(self.m)
+        try:
+            i, a = _terms(f, index, powers, scale)
+            j, b = (i, a) if g is f else _terms(g, index, powers, scale)
+        except KeyError:
+            # a term the table does not hold: beyond the capacity, or of another n
+            _check_capacity(grid, max(f.max_degree, g.max_degree))
+            raise ValueError(f"series of dimensions {f.dimension}, {g.dimension} "
+                             f"on a grid of n = {grid.n}") from None
+        return np.sum(a[:, None] * np.conj(b) * gram[i[:, None], j])
 
 
 @lru_cache(maxsize=64)
@@ -420,39 +463,18 @@ def default_grid(space, capacity: int = DEFAULT_CAPACITY) -> QuadratureGrid:
     return build_grid(capacity)
 
 
-def _weighted_integral(integrate, f: TaylorSeries, g: TaylorSeries,
-                       grid: QuadratureGrid) -> complex:
-    """<f, g> in the plain weighted L^2 sense (no derivative terms), by the
-    space's ``integrate`` of ``_rule``."""
-    return integrate(SeriesProduct(f, g), grid, degree=max(f.max_degree, g.max_degree, 0))
-
-
 def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
                              grid: QuadratureGrid | None = None) -> complex:
     """Order-m inner product evaluated from its defining integrals.
 
     Low-degree parts pair in the plain weighted norm; the rest pairs through
-    all order-m partials with multinomial weights m!/q!.  A norm (g is f)
-    splits and differentiates once.
+    all order-m partials with multinomial weights m!/r!.  Both are read from
+    the grid's order-m Gram table in one sum (``SeriesProduct``).
     """
     if grid is None:
         grid = default_grid(space)
-    _, integrate = _rule(space)
-    m = space.m
-    f1, f2 = f.split(m)
-    g1, g2 = (f1, f2) if g is f else g.split(m)
-    total = 0j
-    if f1.coefficients and g1.coefficients:
-        total = _weighted_integral(integrate, f1, g1, grid)
-    mfact = math.factorial(m)
-    for q in mi.enumerate_indices(space.n, m):
-        df = f2.derivative(q)
-        dg = df if g is f else g2.derivative(q)
-        if not df.coefficients or not dg.coefficients:
-            continue
-        weight = mfact // mi.multifactorial(q)  # m!/q!, exact
-        total += weight * _weighted_integral(integrate, df, dg, grid)
-    return total
+    _, integrate = _rule(space)  # the grid and space checks of integrate_*
+    return integrate(SeriesProduct(f, g, space.m), grid)
 
 
 def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
@@ -462,11 +484,11 @@ def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
     ``formula`` defaults to the space's closed-form monomial norm; passing a
     candidate value instead turns this into an adjudicator between variants.
     """
-    q = mi.as_multiindex(p)
+    phi = monomial(p)
+    (q,) = phi.coefficients  # p as validated by ``monomial``
     if grid is None:
         grid = default_grid(space)
     _check_capacity(grid, mi.degree(q))
-    phi = monomial(q)
     quad_value = sobolev_inner_quadrature(space, phi, phi, grid).real
     if formula is None:
         formula = space.monomial_norm_sq(q)
@@ -481,14 +503,14 @@ def verify_orthogonality(space, p, q, grid: QuadratureGrid | None = None) -> flo
     Returns |<z^p, z^q>_quad| / (||z^p|| ||z^q||); exact torus cancellation
     keeps this at roundoff level.
     """
-    pt = mi.as_multiindex(p)
-    qt = mi.as_multiindex(q)
+    phi, psi = monomial(p), monomial(q)
+    (pt,), (qt,) = phi.coefficients, psi.coefficients  # as validated by ``monomial``
     if pt == qt:
         raise ValueError("orthogonality check requires distinct indices")
     if grid is None:
         grid = default_grid(space)
     _check_capacity(grid, max(mi.degree(pt), mi.degree(qt)))
-    cross = sobolev_inner_quadrature(space, monomial(pt), monomial(qt), grid)
+    cross = sobolev_inner_quadrature(space, phi, psi, grid)
     norms = space.monomial_norm_sq(pt) * space.monomial_norm_sq(qt)
     if norms == 0.0:
         raise DomainError(

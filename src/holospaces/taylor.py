@@ -87,7 +87,8 @@ class TaylorSeries:
         tuples of length ``dimension`` already validated, taken as they are.
 
         ``split`` and ``derivative`` derive their keys from a valid series,
-        so the checks of ``__post_init__`` would only repeat themselves.
+        and ``monomial`` validates its index itself, so the checks of
+        ``__post_init__`` would only repeat themselves.
         """
         series = object.__new__(cls)
         object.__setattr__(series, "dimension", dimension)
@@ -168,7 +169,7 @@ class TaylorSeries:
 def monomial(p) -> TaylorSeries:
     """The series z^p with unit coefficient."""
     q = mi.as_multiindex(p)
-    return TaylorSeries(len(q), {q: 1.0 + 0j})
+    return TaylorSeries._from_valid(len(q), {q: 1.0 + 0j})
 
 
 def zero(dimension: int) -> TaylorSeries:

@@ -329,7 +329,8 @@ def _modulus_integral(space, f, g, grid):
 
 
 # The factorized and pointwise sums of one rule differ by rounding only:
-# at most SERIES_GAP * eps * S (6.1 seen over these pairs).
+# at most SERIES_GAP * eps * S (6.1 seen over these pairs, and 6.8 against
+# S_m over the pairs of test_sobolev_table_matches_derivative_route).
 SERIES_GAP = 16
 
 
@@ -352,11 +353,122 @@ def test_factorized_integrals_match_pointwise_rule(kind, capacity, n):
     for space in spaces:
         _, integrate = quadrature._rule(space)
         for f, g in pairs:
-            got = quadrature._weighted_integral(integrate, f, g, grid)
+            got = integrate(quadrature.SeriesProduct(f, g), grid)
             gap = abs(got - _reference_integral(space, f, g, grid))
             assert gap <= SERIES_GAP * eps * _modulus_integral(space, f, g, grid), (space, f, g)
     assert all(a is b for a, b in zip(grid.series_tables(), tables))
     assert {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)} == arrays
+
+
+def _derivative_route(space, pairs, grid):
+    """<f, g>_m of each pair by its definition, at the points: the parts of
+    degree below m paired plainly, then the order-m partials d^r of the rest
+    with weights m!/r!, each integrated as in ``_reference_integral``; and
+    S_m, the same weighted sum of the integrals of ``_modulus_integral``.
+    Each part of a series is evaluated once, not once per pair."""
+    m = space.m
+    _, integrate = quadrature._rule(space)
+    values, sizes = [0j] * len(pairs), [0.0] * len(pairs)
+    for r in [None, *mi.enumerate_indices(space.n, m)]:
+        weight = 1 if r is None else math.factorial(m) // mi.multifactorial(r)
+        parts, evaluated = {}, {}
+        for f in (f for pair in pairs for f in pair):
+            low, high = f.split(m)
+            parts[id(f)] = low if r is None else high.derivative(r)
+
+        def at(f, pts):
+            """f's part at the points, or its moduli's at |points| (real)."""
+            key = (id(f), pts.dtype.kind)
+            if key not in evaluated:
+                part = parts[id(f)]
+                evaluated[key] = (_reference_evaluate(part, pts) if key[1] == "c"
+                                  else _reference_evaluate(_moduli(part), pts).real)
+            return evaluated[key]
+
+        for k, (f, g) in enumerate(pairs):
+            if parts[id(f)].coefficients and parts[id(g)].coefficients:
+                values[k] += weight * integrate(lambda pts: at(f, pts) * np.conj(at(g, pts)), grid)
+                sizes[k] += weight * integrate(lambda pts: at(f, abs(pts)) * at(g, abs(pts)),
+                                               grid).real
+    return values, sizes
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("capacity", [2, 6, 16])
+@pytest.mark.parametrize("kind", ["ball", "gaussian"])
+def test_sobolev_table_matches_derivative_route(kind, capacity, n, m):
+    # the order-m Gram table against the derivative definition at the
+    # points, at two scales sharing one grid and its table
+    if kind == "ball":
+        grid = quadrature.QuadratureGrid.for_ball(n, 0.5, capacity)
+        spaces = [bergman.BergmanDirichletSpace(n, 0.5, m, radius=r) for r in (1.0, 2.5)]
+    else:
+        grid = quadrature.QuadratureGrid.for_gaussian(n, capacity)
+        spaces = [bargmann.BargmannDirichletSpace(n, nu, m) for nu in (1.0, 2.0)]
+    arrays = {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+    eps = np.finfo(float).eps
+    pairs = _pairs(n, capacity, seed=capacity + m)
+    for space in spaces:
+        for (f, g), want, size in zip(pairs, *_derivative_route(space, pairs, grid)):
+            got = quadrature.sobolev_inner_quadrature(space, f, g, grid)
+            assert abs(got - want) <= SERIES_GAP * eps * size, (space, f, g)
+    table = grid.sobolev_table(m)
+    # the Gram table of an inner product, Hermitian to the bit: its real
+    # part is symmetric in p and q, and T[-k] = conj(T[k])
+    assert np.array_equal(table[2], table[2].conj().T)
+    assert [key for key in grid._tables if isinstance(key, int)] == [m]
+    assert all(a is b for a, b in zip(grid.sobolev_table(m), table))
+    assert {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)} == arrays
+
+
+def test_sobolev_product_keeps_the_grid_checks():
+    ball = bergman.BergmanDirichletSpace(2, 0.5, 2)
+    fock = bargmann.BargmannDirichletSpace(2, 1.0, 2)
+    other_alpha = quadrature.QuadratureGrid.for_ball(2, 1.5, capacity=6)
+    gaussian = quadrature.QuadratureGrid.for_gaussian(2, capacity=6)
+    phi, psi = monomial((2, 1)), monomial((1, 2))
+    for space, grid in ((ball, other_alpha), (ball, gaussian), (fock, other_alpha)):
+        with pytest.raises(ValueError, match="grid"):
+            quadrature.sobolev_inner_quadrature(space, phi, psi, grid)
+        with pytest.raises(ValueError, match="grid"):
+            quadrature.verify_monomial_norm(space, (2, 1), grid)
+        with pytest.raises(ValueError, match="grid"):
+            quadrature.verify_orthogonality(space, (2, 1), (1, 2), grid)
+        with pytest.raises(ValueError, match="grid"):
+            quadrature.verify_sobolev_norm(space, phi, grid)
+    with pytest.raises(CapacityError):
+        quadrature.sobolev_inner_quadrature(fock, monomial((7, 0)), phi, gaussian)
+    with pytest.raises(CapacityError):
+        quadrature.sobolev_inner_quadrature(fock, phi, monomial((3, 4)), gaussian)
+    with pytest.raises(CapacityError):
+        quadrature.verify_orthogonality(fock, (0, 0), (4, 3), gaussian)
+    with pytest.raises(ValueError, match="dimensions 3, 2"):
+        quadrature.sobolev_inner_quadrature(fock, monomial((1, 0, 0)), phi, gaussian)
+    with pytest.raises(ValueError, match="summed from the grid's tables"):
+        quadrature.integrate_sphere(quadrature.SeriesProduct(phi, psi, 1), gaussian)
+    # the CLI's exit 2 on norms that underflow is pinned in test_cli.py
+
+
+@pytest.mark.parametrize("index, message", [
+    ((), "multi-index must have at least one entry"),
+    ("ab", "invalid literal for int() with base 10: 'a'"),
+    ((1, -1), "multi-index entries must be nonnegative, got (1, -1)"),
+    ((1.5, 0), "multi-index entries must be integers, got (1.5, 0)"),
+    ([0.5, 1], "multi-index entries must be integers, got [0.5, 1]"),
+], ids=["empty", "bad", "negative", "non-integer", "non-integer-list"])
+def test_verify_index_messages(index, message):
+    space = bergman.BergmanDirichletSpace(2, 0.5, 2)
+    grid = quadrature.QuadratureGrid.for_ball(2, 0.5, capacity=4)
+    for call in (lambda: quadrature.verify_monomial_norm(space, index, grid),
+                 lambda: quadrature.verify_orthogonality(space, (1, 0), index, grid),
+                 lambda: quadrature.verify_orthogonality(space, index, (1, 0), grid)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+    # an index of integral floats is taken as its integers
+    assert quadrature.verify_monomial_norm(space, [2, 1.0], grid) == \
+        quadrature.verify_monomial_norm(space, (2, 1), grid)
 
 
 def test_series_product_beyond_capacity_is_a_capacity_error(ball_grid_a0):
@@ -368,7 +480,8 @@ def test_series_product_beyond_capacity_is_a_capacity_error(ball_grid_a0):
 
 def test_series_integral_allocates_no_point_array():
     # one complex value per point of the n = 2, capacity-16 grid is
-    # 108,900 x 16 B = 1.74 MB; the tables hold 1,089 moments and 65 sums
+    # 108,900 x 16 B = 1.74 MB; the order-2 Gram table filled by the first
+    # call (153 x 153 complex, 375 KB) is read, not copied, by the second
     grid = quadrature.QuadratureGrid.for_ball(2, 0.5, 16)
     space = bergman.BergmanDirichletSpace(2, 0.5, 2)
     f = random_polynomial(np.random.default_rng(16), 2, 16, density=25 / 153)
