@@ -11,8 +11,8 @@ regime).  The terms are summed with the Neumaier compensation of
 ``CompensatedSum``, applied to the real and imaginary parts; ``eval_pfq``
 inlines those float operations, in the same order, into its term loop, so
 that a series of thousands of terms makes no per-term method calls, and
-reads each term's multiplier from a table kept on the spec, filled by one
-loop for every shape.  Gamma ratios are never computed through raw Gamma:
+reads each term's multiplier from a bounded cache of fixed blocks that equal
+parameter lists share.  Gamma ratios are never computed through raw Gamma:
 ``gamma_ratio`` takes integer offsets only, where the ratio is a Pochhammer
 product.
 """
@@ -22,7 +22,8 @@ from __future__ import annotations
 import cmath
 from array import array
 from dataclasses import dataclass
-from itertools import count, islice
+from functools import lru_cache, partial
+from itertools import chain, count, islice
 
 from .errors import DivergenceError, DomainError, NonconvergenceError
 
@@ -73,12 +74,7 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 @dataclass(frozen=True)
 class HypergeometricSpec:
-    """Parameter lists (a1..aP; b1..bQ) of a pFq series.
-
-    A spec also keeps the table of ``eval_pfq``'s term multipliers c_k,
-    grown on demand (see ``_multipliers_from``); it takes no part in ``==``,
-    ``hash`` or ``repr``.
-    """
+    """Parameter lists (a1..aP; b1..bQ) of a pFq series."""
 
     numerator_params: tuple
     denominator_params: tuple
@@ -93,59 +89,32 @@ class HypergeometricSpec:
                 )
         object.__setattr__(self, "numerator_params", num)
         object.__setattr__(self, "denominator_params", den)
-        object.__setattr__(self, "_multipliers", _NO_MULTIPLIERS)
-
-    def _multipliers_from(self, k: int, max_terms: int) -> tuple[array, int]:
-        """A block of ``eval_pfq``'s term multipliers that holds c_k.
-
-        Returns ``(block, base)`` with ``block[i]`` = c_{base+i}.  Up to
-        ``_MAX_STORED_MULTIPLIERS`` entries the block is the spec's own
-        table (base 0), grown when it ends at k by an eighth of its length,
-        at least ``_MIN_GROWTH`` entries, and never past ``max_terms``: a
-        call that runs past the end fills at most an eighth (or 32) more
-        multipliers than it reads.  Each grow builds a new array and swaps
-        it in, so a table already handed out, or shared with a copy of the
-        spec, is never changed.  Past the stored length a call gets blocks
-        of the same step that are not kept.
-        """
-        table = self._multipliers
-        start = len(table)
-        if k < start:  # another call has grown the table since this one read it
-            return table, 0
-        step = max(_MIN_GROWTH, start >> 3)
-        if start < _MAX_STORED_MULTIPLIERS:
-            stop = min(start + step, max_terms, _MAX_STORED_MULTIPLIERS)
-            table = table + self._multiplier_block(start, stop)
-            object.__setattr__(self, "_multipliers", table)
-            return table, 0
-        return self._multiplier_block(k, min(k + step, max_terms)), k
-
-    def _multiplier_block(self, start: int, stop: int) -> array:
-        """c_start, ..., c_(stop-1), each rounded as a term loop forms it.
-
-        c_k = (a1+k)...(aP+k) / (b1+k) ... / (bQ+k) / (k+1) is formed as the
-        straightforward loop does: 1.0 * (a1+k) * ... / (b1+k) / ... left to
-        right (the leading 1.0 * is exact), then divided by k+1.  k runs over
-        float(k), the float an integer k becomes in a + k (counting up by 1.0
-        is exact below 2**53), so each sum is the same.  One loop fills every
-        shape; only the calls that grow a spec's table run it.
-        """
-        num = self.numerator_params
-        den = self.denominator_params
-        block = array("d")
-        for k in islice(count(float(start)), stop - start):  # float(start), ..., float(stop - 1)
-            ratio = 1.0
-            for a in num:
-                ratio *= a + k
-            for b in den:
-                ratio /= b + k
-            block.append(ratio / (k + 1.0))
-        return block
 
 
-_NO_MULTIPLIERS = array("d")  # shared by fresh specs; never changed in place
-_MIN_GROWTH = 32
-_MAX_STORED_MULTIPLIERS = 10000  # 80 kB per spec
+_BLOCK = 32  # multipliers per cached block
+
+
+@lru_cache(maxsize=4096)  # at most 4,096 blocks of 256 B: 1 MB of multipliers in all
+def _multipliers(num: tuple, den: tuple, block: int) -> memoryview:
+    """Read-only c_k of ``eval_pfq`` for k = 32 block, ..., 32 block + 31.
+
+    c_k = (a1+k)...(aP+k) / (b1+k) ... / (bQ+k) / (k+1) is formed as the
+    straightforward loop does: 1.0 * (a1+k) * ... / (b1+k) / ... left to
+    right (the leading 1.0 * is exact), then divided by k+1.  k runs over
+    float(k), the float an integer k becomes in a + k (counting up by 1.0
+    is exact below 2**53), so each sum is the same.  Keyed by the parameter
+    tuples, so equal specs share blocks, and the view is read-only, as every
+    caller gets the same one.
+    """
+    out = array("d")
+    for k in islice(count(float(block * _BLOCK)), _BLOCK):
+        ratio = 1.0
+        for a in num:
+            ratio *= a + k
+        for b in den:
+            ratio /= b + k
+        out.append(ratio / (k + 1.0))
+    return memoryview(out).toreadonly()
 
 
 @dataclass(frozen=True)
@@ -207,25 +176,19 @@ def eval_pfq(
     term or the partial sum has finite parts but a modulus beyond the float
     range, and NonconvergenceError (carrying the partial result) if the stop
     rule is not met within ``max_terms`` terms (DomainError if the partial
-    sum is then no longer finite).
+    sum is then no longer finite).  A ``tol`` that is not positive, NaN
+    included, is a ValueError.
 
     One loop serves every shape.  It steps t_{k+1} = t_k * c_k * z with the
-    multiplier c_k = (a1+k)...(aP+k) / (b1+k)...(bQ+k) / (k+1) read from the
-    spec's table (``HypergeometricSpec._multipliers_from``), which stores c_k
-    as the term loop would round it: the ratio left to right, then divided
-    by k+1.  The step makes the same two roundings as
-    t_k * (ratio / (k+1)) * z, so the value, ``terms_used`` and the estimate
-    are bit for bit those of a loop that forms each ratio in place, whether
-    the table was filled by earlier calls, grows during this one, or has
-    ended and the call reads blocks that are not kept.  The table costs 8 B
-    a multiplier and stores at most ``_MAX_STORED_MULTIPLIERS`` (10,000), so
-    at most 8 B * min(``max_terms``, 10,000) per spec; the kernels intern at
-    most 256 specs (``spaces._kernel_spec``), so every call in a space after
-    its first reads stored multipliers.  A call on a fresh spec pays the
-    fill (one loop for every shape, ``_multiplier_block``) and takes about
-    1.2-1.4x as long as forming each ratio in place would.  A grow builds a
-    new array and swaps it in (copy-on-grow), never changing one in place,
-    so a copied spec or a concurrent call always sees a consistent prefix.
+    multiplier c_k = (a1+k)...(aP+k) / (b1+k)...(bQ+k) / (k+1) read from
+    blocks of 32 (``_multipliers``), which store c_k as the term loop would
+    round it: the ratio left to right, then divided by k+1.  The step makes
+    the same two roundings as t_k * (ratio / (k+1)) * z, so the value,
+    ``terms_used`` and the estimate are bit for bit those of a loop that
+    forms each ratio in place.  The blocks are cached by the parameter
+    tuples and block number, the 4,096 used last (1 MB of multipliers) for
+    all specs together, so a call on parameters met before reads stored
+    multipliers, and a call on new ones fills at most 31 more than it reads.
 
     The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
     inlined.  Before the exact stop test, |t_k| > 2 tol (|Re s| + |Im s|)
@@ -236,7 +199,7 @@ def eval_pfq(
     fails the exact test too.  A NaN or infinite bound falls through to the
     exact test.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
@@ -248,8 +211,9 @@ def eval_pfq(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
 
-    table, base = spec._multipliers, 0  # table[i] = c_(base+i)
-    last = max_terms - 1  # the budget ends with t_last
+    # c_0, c_1, ... block by block: the loop takes the budget's max_terms - 1
+    # multipliers, and an estimate at its last term reads the next one
+    multipliers = chain.from_iterable(map(partial(_multipliers, num, den), count()))
     cutoff = 2.0 * tol
     # Neumaier sums of the real and imaginary parts, as in CompensatedSum,
     # after adding the first term 1
@@ -258,55 +222,49 @@ def eval_pfq(
     small_streak = 0
     k = 0  # the term just added is t_k; k + 1 terms are summed
     try:
-        while True:
-            for c in islice(table, k - base, last - base):  # c = c_k, while both last
-                nxt = term * c * z
-                if small_streak >= _CONSECUTIVE_SMALL:
-                    return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
-                term = nxt
-                k += 1
-                x = term.real
-                s = re_s + x
-                if abs(re_s) >= abs(x):
-                    re_c += (re_s - s) + x
-                else:
-                    re_c += (x - s) + re_s
-                re_s = s
-                x = term.imag
-                s = im_s + x
-                if abs(im_s) >= abs(x):
-                    im_c += (im_s - s) + x
-                else:
-                    im_c += (x - s) + im_s
-                im_s = s
-                size = abs(term)
-                re = re_s + re_c
-                im = im_s + im_c
-                # the cheap pre-check of the docstring; the exact test alone decides
-                if size > cutoff * (abs(re) + abs(im)):
-                    small_streak = 0
-                elif size <= tol * abs(complex(re, im)):
-                    small_streak += 1
-                else:
-                    small_streak = 0
-            if k == last:
-                break
-            table, base = spec._multipliers_from(k, max_terms)
-        if small_streak >= _CONSECUTIVE_SMALL:  # the stop rule is met at t_last
-            if k - base == len(table):
-                table, base = spec._multipliers_from(k, max_terms)
-            c = table[k - base]
+        for c in islice(multipliers, max_terms - 1):  # c = c_k
+            nxt = term * c * z
+            if small_streak >= _CONSECUTIVE_SMALL:
+                return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(nxt))
+            term = nxt
+            k += 1
+            x = term.real
+            s = re_s + x
+            if abs(re_s) >= abs(x):
+                re_c += (re_s - s) + x
+            else:
+                re_c += (x - s) + re_s
+            re_s = s
+            x = term.imag
+            s = im_s + x
+            if abs(im_s) >= abs(x):
+                im_c += (im_s - s) + x
+            else:
+                im_c += (x - s) + im_s
+            im_s = s
+            size = abs(term)
+            re = re_s + re_c
+            im = im_s + im_c
+            # the cheap pre-check of the docstring; the exact test alone decides
+            if size > cutoff * (abs(re) + abs(im)):
+                small_streak = 0
+            elif size <= tol * abs(complex(re, im)):
+                small_streak += 1
+            else:
+                small_streak = 0
+        if small_streak >= _CONSECUTIVE_SMALL:  # the stop rule is met at the last term
+            c = next(multipliers)
             return SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term * c * z))
     except OverflowError as exc:  # abs() of a term or sum whose parts are finite
         raise DomainError(
             f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
         ) from exc
-    partial = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
-    if not cmath.isfinite(partial.value):
-        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({partial.value})")
+    result = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
+    if not cmath.isfinite(result.value):
+        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({result.value})")
     raise NonconvergenceError(
         f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
-        partial=partial,
+        partial=result,
     )
 
 

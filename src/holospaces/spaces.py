@@ -192,7 +192,9 @@ def inner_product(space: Space, f: TaylorSeries, g: TaylorSeries) -> complex:
 
 @functools.lru_cache(maxsize=256)
 def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
-    """The kernel's pFq parameters (1, 1, *extra; m+1, m+1), built once per shape."""
+    """The kernel's pFq parameters (1, 1, *extra; m+1, m+1), built and
+    validated once per shape rather than on every kernel call; the
+    multipliers ``eval_pfq`` reads are cached by value in ``hypergeo``."""
     return HypergeometricSpec((1.0, 1.0, *extra), (m + 1.0, m + 1.0))
 
 

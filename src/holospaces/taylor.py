@@ -10,7 +10,6 @@ lexicographically descending parts) to keep results bit-reproducible.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -141,29 +140,6 @@ class TaylorSeries:
             # a nonzero coefficient times a positive integer stays nonzero
             out[tuple(pj - qj for pj, qj in zip(p, qt))] = a * factor
         return self._from_valid(self.dimension, out)
-
-    def to_json_dict(self) -> dict:
-        """Wire form {"n": int, "terms": [{"p": [...], "re": f, "im": f}]}."""
-        terms = [
-            {"p": list(p), "re": self.coefficients[p].real, "im": self.coefficients[p].imag}
-            for p in canonical_order(self.coefficients)
-        ]
-        return {"n": self.dimension, "terms": terms}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> TaylorSeries:
-        coeffs = {}
-        for term in data["terms"]:
-            p = tuple(term["p"])
-            coeffs[p] = coeffs.get(p, 0j) + complex(term["re"], term["im"])
-        return cls(int(data["n"]), coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> TaylorSeries:
-        return cls.from_json_dict(json.loads(text))
 
 
 def monomial(p) -> TaylorSeries:

@@ -228,6 +228,17 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--m", "1", "--t", "2"],
+    ["sweep", "--nu", "1", "--m", "1", "--n", "2", "--t", "0.3,0.2", "--radii", "2,4,8"],
+], ids=["kernel", "sweep"])
+def test_nan_tolerance_exits_2(capsys, argv):
+    code, out, err = _run(capsys, [*argv, "--tol", "nan"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerance must be positive, got nan\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["--space", "ball", "--n", "2", "--alpha", "0.5", "--radius", "1e100"],
     ["--space", "fock", "--n", "2", "--nu", "1e-200", "--m", "1"],
 ], ids=["ball-radius", "fock-nu"])

@@ -183,6 +183,13 @@ def test_eval_pfq_divergence():
         eval_pfq(spec, -1.2)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-14, math.nan, -math.inf])
+def test_eval_pfq_rejects_a_tolerance_that_is_not_positive(tol):
+    # a NaN tolerance would fail every stop test and end as NonconvergenceError
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        eval_pfq(HypergeometricSpec((1.0, 1.0), (2.0, 2.0)), 2.0, tol=tol)
+
+
 def test_eval_pfq_nonconvergence_carries_partial():
     spec = HypergeometricSpec((1.0, 1.0, 3.0), (2.0, 2.0))
     with pytest.raises(NonconvergenceError) as excinfo:
@@ -344,9 +351,9 @@ def _random_parameter(rng, denominator=False):
 
 def _table_call_sequences():
     """Seeded specs of every shape, the kernels' among them, each with calls
-    made in turn on one spec object: (z, tol, max_terms) at every phase, short then long (so the
-    multiplier table grows mid-series), long then a smaller budget, and a
-    budget of one term."""
+    made in turn on one spec object: (z, tol, max_terms) at every phase, short then long (so a
+    call reads past the multiplier blocks an earlier call filled), long then
+    a smaller budget, and a budget of one term."""
     rng = random.Random(110611)
     shapes = [(3, 2), (2, 2), (1, 1), (2, 1), (0, 0)]
     sequences = []
@@ -410,87 +417,68 @@ def test_eval_pfq_table_bit_identical_to_inline_loop():
                      "NonconvergenceError at the budget's end"}
 
 
-def test_eval_pfq_past_the_stored_multipliers(monkeypatch):
-    # calls that read past the stored table get blocks that are not kept
-    monkeypatch.setattr(hypergeo, "_MAX_STORED_MULTIPLIERS", 40)
-    sequences = _table_call_sequences()[::7]
-    assert "ok at the budget's end" in _check_call_sequences(sequences)
-    spec = HypergeometricSpec((1.0, 1.0, 3.5), (2.0, 2.0))
-    _check_against_reference(spec, 0.99, 1e-14, 10000)
-    assert len(spec._multipliers) == 40
-
-
 def test_eval_pfq_past_ten_thousand_terms():
-    # a 2F1 near |z| = 1 needs about 29,000 terms, beyond the stored 10,000
+    # a 2F1 near |z| = 1 needs about 29,000 terms: some 900 blocks, past the default budget
     spec = HypergeometricSpec((0.5, 1.5), (2.5,))
     for max_terms in (40000, 12345):
         _check_against_reference(spec, 0.999j, 1e-14, max_terms)
-    assert len(spec._multipliers) == hypergeo._MAX_STORED_MULTIPLIERS == 10000
 
 
 def test_multiplier_table_bound_and_spec_identity():
     num, den = (1.0, 1.0, 3.5), (2.0, 2.0)
     spec = HypergeometricSpec(num, den)
-    assert len(spec._multipliers) == 0
-    largest = 0
-    for z, max_terms in ((0.3, 10000), (0.9, 200), (0.99, 700), (0.999, 10000), (0.5, 3)):
-        try:
-            eval_pfq(spec, z, max_terms=max_terms)
-        except NonconvergenceError:
-            pass
-        largest = max(largest, max_terms)
-        assert len(spec._multipliers) <= largest
-    # a call whose budget is at most N leaves at most N entries
-    for max_terms in (1, 2, 31, 33, 100):
-        fresh = HypergeometricSpec(num, den)
+    eval_pfq(spec, 0.99)
+    # blocks of 32 read-only multipliers, shared by equal parameter lists and
+    # at most 4,096 of them over every spec
+    block = hypergeo._multipliers(num, den, 1)
+    assert len(block) == hypergeo._BLOCK == 32 and block.readonly
+    with pytest.raises(TypeError):
+        block[0] = 0.0
+    twin = HypergeometricSpec(list(num), list(den))
+    assert hypergeo._multipliers(twin.numerator_params, twin.denominator_params, 1) is block
+    info = hypergeo._multipliers.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= 4096
+    # a call fills only the blocks it reads from
+    for max_terms, blocks in ((1, 0), (2, 1), (33, 1), (34, 2), (100, 4)):
+        hypergeo._multipliers.cache_clear()
         with pytest.raises(NonconvergenceError):
-            eval_pfq(fresh, 0.999, max_terms=max_terms)
-        assert len(fresh._multipliers) <= max_terms
-    # the table is never part of equality, hashing or repr
-    for other in (copy.copy(spec), dataclasses.replace(spec), HypergeometricSpec(num, den)):
+            eval_pfq(HypergeometricSpec(num, den), 0.999, max_terms=max_terms)
+        assert hypergeo._multipliers.cache_info().currsize == blocks
+    # a spec is its two fields, and nothing else takes part in equality,
+    # hashing or repr
+    assert vars(spec) == {"numerator_params": num, "denominator_params": den}
+    for other in (copy.copy(spec), dataclasses.replace(spec), twin):
         assert other == spec and hash(other) == hash(spec)
         assert repr(other) == repr(spec) == (
             "HypergeometricSpec(numerator_params=(1.0, 1.0, 3.5), denominator_params=(2.0, 2.0))")
-    assert len(dataclasses.replace(spec)._multipliers) == 0
 
 
-def test_multiplier_table_grows_by_copy():
-    spec = HypergeometricSpec((1.0, 1.0, 3.5), (2.0, 2.0))
-    eval_pfq(spec, 0.3)
-    table = spec._multipliers
-    snapshot = table.tolist()
-    twin = copy.copy(spec)
-    eval_pfq(spec, 0.99)  # grows the table
-    assert len(spec._multipliers) > len(table)
-    assert table.tolist() == snapshot and twin._multipliers is table
-    assert spec._multipliers.tolist()[: len(snapshot)] == snapshot
-    # the copy grows its own table, equal entry for entry
-    eval_pfq(twin, 0.99)
-    assert twin._multipliers.tolist() == spec._multipliers.tolist()
-
-
-@pytest.mark.parametrize("z,used", [(0.335, 33), (0.49, 49)])
+@pytest.mark.parametrize("z,used", [(0.335, 33), (0.49, 49), (0.59, 65)])
 def test_eval_pfq_stop_rule_met_where_budget_and_table_end(z, used):
-    # on a fresh spec the stop rule is met at t_32 (t_48): the last term of a
-    # budget of 33 (49) terms, and the first past the table's first (second) fill
+    # the stop rule is met at t_(used-1), the last term of a budget of `used`
+    # terms, so the estimate reads the multiplier after the loop's last: at
+    # t_32 and t_64 the first of a block not yet filled, at t_48 one within
+    # the block the loop ended in
     num, den = (1.0, 1.0, 3.5), (2.0, 2.0)
     assert eval_pfq(HypergeometricSpec(num, den), z).terms_used == used
+    hypergeo._multipliers.cache_clear()
     spec = HypergeometricSpec(num, den)
     got = _outcome(eval_pfq, spec, z, 1e-14, used)
     assert got[0] == "ok"
     assert got == _outcome(_reference_eval_pfq, spec, z, 1e-14, used)
-    assert len(spec._multipliers) == used
+    assert hypergeo._multipliers.cache_info().currsize == (used - 1) // 32 + 1
 
 
 def test_multiplier_table_shared_by_threads():
-    # threads that grow one spec's table at once: each call still matches a
-    # spec of its own, and the table left behind is a prefix of a fresh fill
+    # threads that fill the same blocks at once: each call still matches a
+    # fresh spec's outcome, and every block left behind is a fresh fill
     num, den = (1.0, 1.0, 47.123), (3.0, 3.0)
     calls = [(cmath.rect(r, phase), max_terms)
              for r in (0.2, 0.9, 0.99) for phase in (0.0, 2.0, -2.5)
              for max_terms in (10000, 64, 500)]
     expected = [_outcome(eval_pfq, HypergeometricSpec(num, den), z, 1e-14, max_terms)
                 for z, max_terms in calls]
+    hypergeo._multipliers.cache_clear()
     shared = HypergeometricSpec(num, den)
     mismatches = []
 
@@ -512,6 +500,8 @@ def test_multiplier_table_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
-    table = shared._multipliers.tolist()
-    fresh = HypergeometricSpec(num, den)
-    assert table == fresh._multiplier_block(0, len(table)).tolist()
+    blocks = hypergeo._multipliers.cache_info().currsize
+    assert blocks > 1
+    for i in range(blocks):
+        assert (hypergeo._multipliers(num, den, i).tolist()
+                == hypergeo._multipliers.__wrapped__(num, den, i).tolist())

@@ -280,10 +280,23 @@ def _reference_evaluate(f, points):
     return values
 
 
-def _reference_integral(space, f, g, grid):
+def _evaluated_once(evaluate):
+    """``evaluate(f, points)``, computed once per series: every call at one
+    scale passes the same points."""
+    values = {}
+
+    def at(f, pts):
+        if id(f) not in values:
+            values[id(f)] = evaluate(f, pts)
+        return values[id(f)]
+    return at
+
+
+def _reference_integral(space, f, g, grid, at):
     """The weighted integral before the power tables: f * conj(g) on the
-    scaled point array (a plain callable takes that path of integrate_*)."""
-    integrand = lambda pts: _reference_evaluate(f, pts) * np.conj(_reference_evaluate(g, pts))
+    scaled point array (a plain callable takes that path of integrate_*),
+    each series' values given by ``at(f, points)``."""
+    integrand = lambda pts: at(f, pts) * np.conj(at(g, pts))
     degree = max(f.max_degree, g.max_degree, 0)
     if grid.kind == "ball":
         return quadrature.integrate_ball(space.n, space.alpha, integrand, grid,
@@ -317,11 +330,16 @@ def _moduli(f):
     return TaylorSeries(f.dimension, {p: abs(a) for p, a in f.coefficients.items()})
 
 
-def _modulus_integral(space, f, g, grid):
+def _moduli_at(f, points):
+    """The series of f's moduli at ``points``."""
+    return _reference_evaluate(_moduli(f), points)
+
+
+def _modulus_integral(space, f, g, grid, at):
     """S = sum |f_p| |g_q| quad(|z^p| |z^q|), on the scaled point array: the
-    size of the terms either route rounds."""
-    integrand = lambda pts: (_reference_evaluate(_moduli(f), abs(pts))
-                             * _reference_evaluate(_moduli(g), abs(pts)))
+    size of the terms either route rounds; ``at(f, points)`` gives the
+    moduli's values."""
+    integrand = lambda pts: at(f, abs(pts)) * at(g, abs(pts))
     if grid.kind == "ball":
         return quadrature.integrate_ball(space.n, space.alpha, integrand, grid,
                                          radius=space.radius).real
@@ -352,10 +370,13 @@ def test_factorized_integrals_match_pointwise_rule(kind, capacity, n):
     tables = grid.series_tables()
     for space in spaces:
         _, integrate = quadrature._rule(space)
+        # each series, and its moduli, evaluated once at this scale's points
+        values, moduli = _evaluated_once(_reference_evaluate), _evaluated_once(_moduli_at)
         for f, g in pairs:
             got = integrate(quadrature.SeriesProduct(f, g), grid)
-            gap = abs(got - _reference_integral(space, f, g, grid))
-            assert gap <= SERIES_GAP * eps * _modulus_integral(space, f, g, grid), (space, f, g)
+            gap = abs(got - _reference_integral(space, f, g, grid, values))
+            size = _modulus_integral(space, f, g, grid, moduli)
+            assert gap <= SERIES_GAP * eps * size, (space, f, g)
     assert all(a is b for a, b in zip(grid.series_tables(), tables))
     assert {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)} == arrays
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -147,22 +146,6 @@ def test_monomial_derivative_closed_form(p, q):
     for pj, qj, zj in zip(p, q, z):
         expected *= math.perm(pj, qj) * zj ** (pj - qj)
     assert value == pytest.approx(expected, rel=1e-13)
-
-
-def test_json_round_trip():
-    f = TaylorSeries(2, {(1, 0): 2.0 - 1.5j, (0, 0): 0.5})
-    data = f.to_json_dict()
-    assert data == {
-        "n": 2,
-        "terms": [
-            {"p": [0, 0], "re": 0.5, "im": 0.0},
-            {"p": [1, 0], "re": 2.0, "im": -1.5},
-        ],
-    }
-    assert TaylorSeries.from_json_dict(data) == f
-    assert TaylorSeries.from_json(f.to_json()) == f
-    parsed = json.loads(f.to_json())
-    assert set(parsed) == {"n", "terms"}
 
 
 def test_constructor_validation():
