@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import asymptotics, bargmann, bergman, spaces
+from . import asymptotics, bargmann, bergman, hypergeo, spaces
 from . import multiindex as mi
 from .errors import DivergenceError, DomainError, NonconvergenceError
 from .taylor import TaylorSeries, as_point, point_inner
@@ -96,6 +96,8 @@ def _resolve_inner(args) -> complex:
 
 
 def cmd_kernel(args) -> int:
+    # checked whatever the method and m, though only a pFq series reads them
+    hypergeo.check_budget(args.tol, args.max_terms)
     space = _build_space(args)
     t = _resolve_inner(args)
     if args.method == "closed":
@@ -296,6 +298,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    hypergeo.check_budget(args.tol, args.max_terms)
     radii = [float(r) for r in args.radii.split(",")]
     t = _parse_t(args.t)
     z = (t,) + (0j,) * (args.n - 1)

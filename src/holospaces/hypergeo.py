@@ -162,6 +162,14 @@ def gamma_ratio(a: float, b: float) -> float:
 _CONSECUTIVE_SMALL = 3  # a single tiny term may be an accidental zero
 
 
+def check_budget(tol: float, max_terms: int) -> None:
+    """ValueError unless ``tol`` is positive (NaN is not) and ``max_terms`` >= 1."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+
+
 def eval_pfq(
     spec: HypergeometricSpec,
     z: complex,
@@ -199,10 +207,7 @@ def eval_pfq(
     fails the exact test too.  A NaN or infinite bound falls through to the
     exact test.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    check_budget(tol, max_terms)
     z = complex(z)
     num = spec.numerator_params
     den = spec.denominator_params

@@ -49,6 +49,12 @@ monomials of degree <= capacity it is one Gram table, 0 across the blocks:
 At scale c (R, or nu^{-1/2}) f_p carries c^{|p|}, or c^{|p|-m} from degree m
 on, so ``QuadratureGrid.sobolev_table`` keys G_m by m alone for every scale:
 153 x 153 complex (375 KB) at n = 2, capacity 16, against 108,900 points.
+Its weight-free half is a plan per (n, capacity, m), ``_gram_plan``, shared
+by every grid of either family: the canonical order, the flat T offset of
+each p and, per part (the low block, then each r in canonical order), the
+rows p >= r, the exact integer weights m!/r! perm(p, r) and perm(q, r), and
+the flat A offsets of p - r; O(N) each, never N x N.  A fill gathers A at
+the outer sums and T at the outer differences of the offsets.
 Order 0 is the plain product.  Only rounding separates this from the sum at
 the points, a few eps times the same sum of |f_p||g_q| quad(|d^r z^p||d^r z^q|).
 Sums are elementwise products reduced by ``np.sum``, never BLAS (``@``,
@@ -60,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -201,14 +208,13 @@ class QuadratureGrid:
             wgt = (radial_factor[:, None] * np.full(m_theta, w_theta)[None, :]).reshape(-1)
             u_nodes = u_weights = None
         else:
-            uu, wu = _jacobi01(n_u, 0.0)
+            u_nodes, u_weights = _sphere_rule(n_u)
             # sphere measure: dsigma = (du/2) dth1 dth2
             wgt = (
                 radial_factor[:, None, None, None]
-                * (0.5 * wu)[None, :, None, None]
+                * (0.5 * u_weights)[None, :, None, None]
                 * np.full((m_theta, m_theta), w_theta * w_theta)[None, None, :, :]
             ).reshape(-1)
-            u_nodes, u_weights = uu, wu
         return cls(
             kind=kind,
             n=n,
@@ -246,7 +252,8 @@ class QuadratureGrid:
         """The moments A[j] and torus products T[k] of the unit-scale rule
         (module notes) for j and |k| up to top = 2 * capacity, as
         ``moments[j1, j2]`` and ``torus[top + k1, top + k2]`` (one index at
-        n = 1), filled on first use and kept by the grid."""
+        n = 1), filled on first use and kept by the grid: all of G_m that
+        depends on the grid's weights."""
         tables = self._tables
         if "moments" not in tables:
             top = 2 * self.capacity
@@ -269,41 +276,65 @@ class QuadratureGrid:
             half = w_theta * np.sum(phase[:, None] ** exponents, axis=0)
             # T[-k] = conj(T[k]), the sum of the conjugate phases
             torus = np.concatenate((np.conj(half[:0:-1]), half))
-            order = [p for k in range(self.capacity + 1) for p in mi.enumerate_indices(self.n, k)]
-            tables.update(moments=moments, torus=torus if self.n == 1 else torus[:, None] * torus,
-                          index={p: i for i, p in enumerate(order)},
-                          exponents=np.array(order).T.copy())  # one row per coordinate
+            tables.update(moments=moments, torus=torus if self.n == 1 else torus[:, None] * torus)
         return tables["moments"], tables["torus"]
 
     def sobolev_table(self, m: int):
-        """(index, powers, G_m), filled on first use and kept by the grid:
-        the canonical position of each monomial of degree <= capacity, the
-        power of the scale on its coefficient, and the order-m Gram table."""
+        """(index, powers, G_m), G_m filled on first use and kept by the grid:
+        the canonical position of each monomial of degree <= capacity and the
+        power of the scale on its coefficient, both from the shared plan
+        ``_gram_plan(n, capacity, m)``, and G_m gathered at its offsets."""
         tables = self._tables
         if m not in tables:
-            moments, torus = self.series_tables()
-            e = tables["exponents"]
-            degree = e.sum(axis=0)
-            low = degree < m
-            # (weight, factor of each monomial, r): the low parts pair plainly,
-            # the rest through the partials d^r z^p = perm(p, r) z^(p-r), |r| = m
-            parts = [(1, 1.0 * low, (0,) * self.n)]
-            if m <= self.capacity:
-                falling = np.array([[math.perm(k, j) for j in range(m + 1)]
-                                    for k in range(self.capacity + 1)], dtype=float)
-                parts += [(math.factorial(m) // mi.multifactorial(r),  # m!/r!, exact
-                           np.prod(falling[e, np.array(r)[:, None]], axis=0), r)
-                          for r in mi.enumerate_indices(self.n, m)]
-            gram = np.zeros((len(degree), len(degree)))
-            for weight, factor, r in parts:
-                # only the block where the factor is not 0, so p - r >= 0
-                rows = np.flatnonzero(factor)
-                lowered = e[:, rows] - np.array(r)[:, None]  # the exponents p - r
-                block = moments[tuple(row[:, None] + row for row in lowered)]
-                gram[np.ix_(rows, rows)] += weight * factor[rows, None] * factor[rows] * block
-            gram = gram * torus[tuple(2 * self.capacity + row[:, None] - row for row in e)]
-            tables[m] = np.where(low, degree, degree - m).tolist(), gram
-        return (tables["index"], *tables[m])
+            index, powers, torus_at, parts = _gram_plan(self.n, self.capacity, m)
+            moments, torus = (table.ravel() for table in self.series_tables())
+            size = len(powers)
+            gram = np.zeros(size * size)
+            for rows, left, right, at in parts:
+                block = left[:, None] * right * moments[at[:, None] + at]
+                gram[(size * rows)[:, None] + rows] += block
+            # T[0] sits at the centre of the flat torus table
+            torus = torus[torus.size // 2 + (torus_at[:, None] - torus_at)]
+            tables[m] = index, powers, gram.reshape(size, size) * torus
+        return tables[m]
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: a cached array is shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _sphere_rule(count: int):
+    """The sphere's u-rule, the same for every n = 2 grid whatever its weight."""
+    return _frozen(*_jacobi01(count, 0.0))
+
+
+@lru_cache(maxsize=64)
+def _gram_plan(n: int, capacity: int, m: int):
+    """The weight-free half of G_m (module notes): (index, powers, torus
+    offsets, parts), each part (rows, m!/r! perm(p, r), perm(q, r), offsets)."""
+    # not enumerate_indices, whose traced call count must not depend on this cache
+    order = canonical_order(p for p in product(range(capacity + 1), repeat=n)
+                            if sum(p) <= capacity)
+    e = np.array(order).T  # one row per coordinate
+    degree = e.sum(axis=0)
+    # (weight, factor of each monomial, r): the low parts pair plainly,
+    # the rest through the partials d^r z^p = perm(p, r) z^(p-r), |r| = m
+    parts = [(1, 1.0 * (degree < m), (0,) * n)]
+    if m <= capacity:
+        parts += [(math.factorial(m) // mi.multifactorial(r),  # m!/r!, exact
+                   np.array([math.prod(map(float, map(math.perm, p, r))) for p in order]), r)
+                  for r in order if sum(r) == m]
+    plan = []
+    for weight, factor, r in parts:
+        rows = np.flatnonzero(factor)  # where p - r >= 0
+        plan.append(_frozen(rows, weight * factor[rows], factor[rows], np.ravel_multi_index(
+            e[:, rows] - np.array(r)[:, None], (2 * capacity + 1,) * n)))
+    return ({p: i for i, p in enumerate(order)}, tuple((degree - m * (degree >= m)).tolist()),
+            *_frozen(np.ravel_multi_index(e, (4 * capacity + 1,) * n)), tuple(plan))
 
 
 def _check_capacity(grid: QuadratureGrid, degree) -> None:

@@ -227,15 +227,31 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
     assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
 
 
-@pytest.mark.parametrize("argv", [
-    ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--m", "1", "--t", "2"],
-    ["sweep", "--nu", "1", "--m", "1", "--n", "2", "--t", "0.3,0.2", "--radii", "2,4,8"],
-], ids=["kernel", "sweep"])
-def test_nan_tolerance_exits_2(capsys, argv):
-    code, out, err = _run(capsys, [*argv, "--tol", "nan"])
+_FOCK_KERNEL = ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--t", "2"]
+_SWEEP = ["sweep", "--nu", "1", "--n", "2", "--t", "0.3,0.2", "--radii", "2,4,8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_FOCK_KERNEL, "--m", "1", "--tol", "nan"], "tolerance must be positive, got nan"),
+    ([*_SWEEP, "--m", "1", "--tol", "nan"], "tolerance must be positive, got nan"),
+    # m = 0 sums no pFq series, nor does the series method at any m
+    ([*_FOCK_KERNEL, "--m", "0", "--tol", "nan"], "tolerance must be positive, got nan"),
+    ([*_FOCK_KERNEL, "--m", "0", "--tol", "-1"], "tolerance must be positive, got -1.0"),
+    ([*_FOCK_KERNEL, "--m", "2", "--method", "series", "--tol", "nan"],
+     "tolerance must be positive, got nan"),
+    ([*_FOCK_KERNEL, "--m", "0", "--max-terms", "0"], "max_terms must be >= 1, got 0"),
+    ([*_FOCK_KERNEL, "--m", "1", "--method", "series", "--max-terms", "-3"],
+     "max_terms must be >= 1, got -3"),
+    ([*_SWEEP, "--m", "0", "--tol", "nan"], "tolerance must be positive, got nan"),
+    ([*_SWEEP, "--m", "0", "--max-terms", "0"], "max_terms must be >= 1, got 0"),
+], ids=["kernel", "sweep", "kernel-m0", "kernel-m0-negative", "kernel-series",
+        "kernel-m0-max-terms", "kernel-series-max-terms", "sweep-m0", "sweep-m0-max-terms"])
+def test_nan_tolerance_exits_2(capsys, argv, message):
+    # the budget is checked before dispatch, for every m and method
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err == "error: tolerance must be positive, got nan\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -443,6 +443,91 @@ def test_sobolev_table_matches_derivative_route(kind, capacity, n, m):
     assert {k: v.nbytes for k, v in vars(grid).items() if isinstance(v, np.ndarray)} == arrays
 
 
+def _reference_gram(grid, m):
+    """(index, powers, G_m) as the grid filled them before the cached plan:
+    each part's block gathered by N x N index arithmetic on the exponents."""
+    moments, torus = grid.series_tables()
+    order = [p for k in range(grid.capacity + 1) for p in mi.enumerate_indices(grid.n, k)]
+    e = np.array(order).T.copy()  # one row per coordinate
+    degree = e.sum(axis=0)
+    low = degree < m
+    parts = [(1, 1.0 * low, (0,) * grid.n)]
+    if m <= grid.capacity:
+        falling = np.array([[math.perm(k, j) for j in range(m + 1)]
+                            for k in range(grid.capacity + 1)], dtype=float)
+        parts += [(math.factorial(m) // mi.multifactorial(r),
+                   np.prod(falling[e, np.array(r)[:, None]], axis=0), r)
+                  for r in mi.enumerate_indices(grid.n, m)]
+    gram = np.zeros((len(degree), len(degree)))
+    for weight, factor, r in parts:
+        rows = np.flatnonzero(factor)
+        lowered = e[:, rows] - np.array(r)[:, None]
+        block = moments[tuple(row[:, None] + row for row in lowered)]
+        gram[np.ix_(rows, rows)] += weight * factor[rows, None] * factor[rows] * block
+    gram = gram * torus[tuple(2 * grid.capacity + row[:, None] - row for row in e)]
+    return ({p: i for i, p in enumerate(order)}, np.where(low, degree, degree - m).tolist(),
+            gram)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("capacity", [1, 2, 6, 16])
+@pytest.mark.parametrize("kind", ["ball", "gaussian"])
+def test_gram_plan_fill_matches_reference(kind, capacity, n):
+    # the same elementwise arithmetic in the same order: equal to the bit,
+    # m > capacity included (the low part only)
+    grid = (quadrature.QuadratureGrid.for_ball(n, 0.5, capacity) if kind == "ball"
+            else quadrature.QuadratureGrid.for_gaussian(n, capacity))
+    for m in range(capacity + 2):
+        index, powers, gram = grid.sobolev_table(m)
+        want_index, want_powers, want = _reference_gram(grid, m)
+        assert index == want_index and list(powers) == want_powers, m
+        assert gram.dtype == want.dtype and np.array_equal(gram, want), m
+
+
+def test_gram_plan_is_shared_read_only_and_small():
+    builders = [lambda: quadrature.QuadratureGrid.for_ball(2, 0.5, 6),
+                lambda: quadrature.QuadratureGrid.for_ball(2, 3.0, 6),
+                lambda: quadrature.QuadratureGrid.for_gaussian(2, 6)]
+    quadrature._gram_plan.cache_clear()
+    grids = [build() for build in builders]
+    orders = range(4)
+    tables = {}
+    for count, grid in enumerate(grids):
+        for m in orders:
+            tables[count, m] = grid.sobolev_table(m)
+            # one plan per m, read by every later grid of this n and capacity
+            misses = m + 1 if count == 0 else len(orders)
+            info = quadrature._gram_plan.cache_info()
+            assert (info.misses, info.hits) == (misses, len(tables) - misses)
+    for m in orders:
+        assert tables[0, m][0] is tables[1, m][0] is tables[2, m][0]
+    # each equals the fill of a fresh grid from a plan made for it alone
+    for count, build in enumerate(builders):
+        quadrature._gram_plan.cache_clear()
+        cold = build()
+        for m in orders:
+            assert np.array_equal(cold.sobolev_table(m)[2], tables[count, m][2])
+    # a cached array is shared, so it is read-only
+    _, _, torus_at, parts = quadrature._gram_plan(2, 6, 2)
+    shared = [grids[0].u_nodes, grids[0].u_weights, torus_at, *(a for part in parts for a in part)]
+    assert grids[0].u_nodes is grids[2].u_nodes
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # O(N) per part: an N x N index array of one part at capacity 16 would
+    # alone be 153 x 153 x 8 B = 187 KB
+    quadrature._gram_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        for capacity in (6, 16):
+            for m in orders:
+                quadrature._gram_plan(2, capacity, m)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.5e6
+
+
 def test_sobolev_product_keeps_the_grid_checks():
     ball = bergman.BergmanDirichletSpace(2, 0.5, 2)
     fock = bargmann.BargmannDirichletSpace(2, 1.0, 2)
