@@ -14,22 +14,24 @@ Gamma overflows long before that.  The ball space forms its prefactor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bargmann, bergman
+from ._record import Record, set_field
 from .errors import DomainError
 from .hypergeo import _limit_3f2_to_2f2_errors
 from .taylor import inner
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(Record):
     """One radius of a kernel sweep: scaled-ball value against the flat limit."""
 
-    radius: float
-    kernel_value: complex
-    limit_value: complex
-    abs_error: float
+    _fields = ("radius", "kernel_value", "limit_value", "abs_error")
+
+    def __init__(self, radius: float, kernel_value: complex, limit_value: complex,
+                 abs_error: float):
+        set_field(self, "radius", radius)
+        set_field(self, "kernel_value", kernel_value)
+        set_field(self, "limit_value", limit_value)
+        set_field(self, "abs_error", abs_error)
 
 
 def scaled_space(nu: float, radius: float, n: int, m: int) -> bergman.BergmanDirichletSpace:

@@ -27,10 +27,9 @@ of ``holospaces.spaces``, bound here under their usual names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 from . import multiindex as mi
+from ._record import Record, set_field
 from .errors import DomainError
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
     DEFAULT_SERIES_DEGREE,
@@ -51,26 +50,26 @@ from .spaces import (  # noqa: F401  (shared algorithms, bound under the family'
 )
 
 
-@dataclass(frozen=True)
-class BargmannDirichletSpace:
+class BargmannDirichletSpace(Record):
     """Fock-type space parameters: dimension n, Gaussian weight nu > 0, order m."""
 
-    n: int
-    nu: float
-    m: int
+    _fields = ("n", "nu", "m")
 
-    radius: ClassVar[float] = math.inf  # the plane is the R -> infinity limit of the ball
-    pfq_extra: ClassVar[tuple] = ()
-    series_tail_factor: ClassVar[float] = 2.0
+    radius = math.inf  # the plane is the R -> infinity limit of the ball
+    pfq_extra = ()
+    series_tail_factor = 2.0
 
-    def __post_init__(self):
-        require_finite(n=self.n, nu=self.nu, m=self.m)
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"dimension n must be a positive integer, got {self.n}")
-        if not self.nu > 0:
-            raise DomainError(f"nu must be positive, got {self.nu}")
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"order m must be a nonnegative integer, got {self.m}")
+    def __init__(self, n: int, nu: float, m: int):
+        require_finite(n=n, nu=nu, m=m)
+        if n < 1 or n != int(n):
+            raise DomainError(f"dimension n must be a positive integer, got {n}")
+        if not nu > 0:
+            raise DomainError(f"nu must be positive, got {nu}")
+        if m < 0 or m != int(m):
+            raise DomainError(f"order m must be a nonnegative integer, got {m}")
+        set_field(self, "n", n)
+        set_field(self, "nu", nu)
+        set_field(self, "m", m)
 
     def monomial_norm_sq(self, p) -> float:
         return monomial_norm_sq(self, p)

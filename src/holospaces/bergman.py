@@ -32,10 +32,9 @@ under their usual names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 from . import multiindex as mi
+from ._record import Record, set_field
 from .errors import DomainError
 from .hypergeo import CompensatedSum, pochhammer
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
@@ -61,27 +60,27 @@ from .taylor import as_point, vector_norm
 gamma_coeff = normalized_norm_sq
 
 
-@dataclass(frozen=True)
-class BergmanDirichletSpace:
+class BergmanDirichletSpace(Record):
     """Ball space parameters: dimension n, weight alpha > -1, order m, radius R."""
 
-    n: int
-    alpha: float
-    m: int
-    radius: float = 1.0
+    _fields = ("n", "alpha", "m", "radius")
 
-    series_tail_factor: ClassVar[float] = 5.0
+    series_tail_factor = 5.0
 
-    def __post_init__(self):
-        require_finite(n=self.n, alpha=self.alpha, m=self.m, radius=self.radius)
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"dimension n must be a positive integer, got {self.n}")
-        if not self.alpha > -1:
-            raise DomainError(f"alpha must be > -1 (space is trivial otherwise), got {self.alpha}")
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"order m must be a nonnegative integer, got {self.m}")
-        if not self.radius > 0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
+    def __init__(self, n: int, alpha: float, m: int, radius: float = 1.0):
+        require_finite(n=n, alpha=alpha, m=m, radius=radius)
+        if n < 1 or n != int(n):
+            raise DomainError(f"dimension n must be a positive integer, got {n}")
+        if not alpha > -1:
+            raise DomainError(f"alpha must be > -1 (space is trivial otherwise), got {alpha}")
+        if m < 0 or m != int(m):
+            raise DomainError(f"order m must be a nonnegative integer, got {m}")
+        if not radius > 0:
+            raise DomainError(f"radius must be positive, got {radius}")
+        set_field(self, "n", n)
+        set_field(self, "alpha", alpha)
+        set_field(self, "m", m)
+        set_field(self, "radius", radius)
 
     @property
     def pfq_extra(self) -> tuple:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, count, islice
 
+from ._record import Record, set_field
 from .errors import DivergenceError, DomainError, NonconvergenceError
 
 
@@ -72,23 +72,21 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == round(x)
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(Record):
     """Parameter lists (a1..aP; b1..bQ) of a pFq series."""
 
-    numerator_params: tuple
-    denominator_params: tuple
+    _fields = ("numerator_params", "denominator_params")
 
-    def __post_init__(self):
-        num = tuple(float(a) for a in self.numerator_params)
-        den = tuple(float(b) for b in self.denominator_params)
+    def __init__(self, numerator_params: tuple, denominator_params: tuple):
+        num = tuple(float(a) for a in numerator_params)
+        den = tuple(float(b) for b in denominator_params)
         for b in den:
             if _is_nonpositive_integer(b):
                 raise DomainError(
                     f"denominator parameter {b} is zero or a negative integer; series undefined"
                 )
-        object.__setattr__(self, "numerator_params", num)
-        object.__setattr__(self, "denominator_params", den)
+        set_field(self, "numerator_params", num)
+        set_field(self, "denominator_params", den)
 
 
 _BLOCK = 32  # multipliers per cached block
@@ -117,13 +115,15 @@ def _multipliers(num: tuple, den: tuple, block: int) -> memoryview:
     return memoryview(out).toreadonly()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Value of a truncated series plus how it was obtained."""
 
-    value: complex
-    terms_used: int
-    error_estimate: float
+    _fields = ("value", "terms_used", "error_estimate")
+
+    def __init__(self, value: complex, terms_used: int, error_estimate: float):
+        set_field(self, "value", value)
+        set_field(self, "terms_used", terms_used)
+        set_field(self, "error_estimate", error_estimate)
 
 
 def pochhammer(a: float, k: int) -> float:

@@ -64,7 +64,6 @@ Sums are elementwise products reduced by ``np.sum``, never BLAS (``@``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
@@ -72,6 +71,7 @@ import numpy as np
 
 from . import bergman
 from . import multiindex as mi
+from ._record import Record, set_field
 from .errors import CapacityError, DomainError
 from .spaces import function_norm_sq
 from .taylor import TaylorSeries, canonical_order, monomial
@@ -154,29 +154,38 @@ def _torus(count: int):
     return np.exp(1j * theta), 2.0 * np.pi / count
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Precomputed tensor-product rule on the unit ball or the Gaussian plane.
 
     ``points``/``weights`` hold the flattened unit-scale rule; radius and nu
     rescalings are applied at integration time.  ``capacity`` is the largest
     total holomorphic degree D for which integrands built from degree-D
-    polynomials (products f * conj(g)) are integrated exactly.
+    polynomials (products f * conj(g)) are integrated exactly.  Grids compare
+    and hash by identity.
     """
 
-    kind: str  # "ball" | "gaussian"
-    n: int
-    capacity: int
-    alpha: float | None
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    u_nodes: np.ndarray | None
-    u_weights: np.ndarray | None
-    theta_count: int
-    weights: np.ndarray
-    # ``points``, the tables of ``series_tables`` and the Gram tables of
-    # ``sobolev_table``, each filled on first use; no array until then.
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("kind", "n", "capacity", "alpha", "radial_nodes", "radial_weights",
+               "u_nodes", "u_weights", "theta_count", "weights")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, kind: str, n: int, capacity: int, alpha: float | None,
+                 radial_nodes: np.ndarray, radial_weights: np.ndarray,
+                 u_nodes: np.ndarray | None, u_weights: np.ndarray | None,
+                 theta_count: int, weights: np.ndarray):
+        set_field(self, "kind", kind)  # "ball" | "gaussian"
+        set_field(self, "n", n)
+        set_field(self, "capacity", capacity)
+        set_field(self, "alpha", alpha)
+        set_field(self, "radial_nodes", radial_nodes)
+        set_field(self, "radial_weights", radial_weights)
+        set_field(self, "u_nodes", u_nodes)
+        set_field(self, "u_weights", u_weights)
+        set_field(self, "theta_count", theta_count)
+        set_field(self, "weights", weights)
+        # ``points``, the tables of ``series_tables`` and the Gram tables of
+        # ``sobolev_table``, each filled on first use; not in the repr
+        set_field(self, "_tables", {})
 
     @classmethod
     def for_ball(cls, n: int, alpha: float, capacity: int = DEFAULT_CAPACITY) -> "QuadratureGrid":

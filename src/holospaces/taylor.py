@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import multiindex as mi
+from ._record import Record, set_field
 
 
 def as_point(z, dimension: int | None = None) -> tuple[complex, ...]:
@@ -58,27 +59,29 @@ def canonical_order(keys):
     return sorted(keys, key=lambda p: (sum(p), tuple(-x for x in p)))
 
 
-@dataclass(frozen=True, eq=True)
-class TaylorSeries:
-    """Sparse polynomial sum_p a_p z^p in ``dimension`` complex variables."""
+class TaylorSeries(Record):
+    """Sparse polynomial sum_p a_p z^p in ``dimension`` complex variables.
 
-    dimension: int
-    coefficients: dict = field(default_factory=dict)
+    Unhashable, as its coefficient dict is.
+    """
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+    _fields = ("dimension", "coefficients")
+
+    def __init__(self, dimension: int, coefficients: dict = MappingProxyType({})):
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
         clean = {}
-        for p, a in self.coefficients.items():
+        for p, a in coefficients.items():
             q = mi.as_multiindex(p)
-            if len(q) != self.dimension:
+            if len(q) != dimension:
                 raise ValueError(
-                    f"index {q} has length {len(q)}, series dimension is {self.dimension}"
+                    f"index {q} has length {len(q)}, series dimension is {dimension}"
                 )
             a = complex(a)
             if a != 0:
                 clean[q] = a
-        object.__setattr__(self, "coefficients", clean)
+        set_field(self, "dimension", dimension)
+        set_field(self, "coefficients", clean)
 
     @classmethod
     def _from_valid(cls, dimension: int, coefficients: dict) -> TaylorSeries:
@@ -87,11 +90,11 @@ class TaylorSeries:
 
         ``split`` and ``derivative`` derive their keys from a valid series,
         and ``monomial`` validates its index itself, so the checks of
-        ``__post_init__`` would only repeat themselves.
+        ``__init__`` would only repeat themselves.
         """
         series = object.__new__(cls)
-        object.__setattr__(series, "dimension", dimension)
-        object.__setattr__(series, "coefficients", coefficients)
+        set_field(series, "dimension", dimension)
+        set_field(series, "coefficients", coefficients)
         return series
 
     @property

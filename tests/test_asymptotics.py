@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 
@@ -125,3 +126,20 @@ def test_hypergeometric_limit_sweep_sums_the_target_once(monkeypatch):
     with pytest.raises(DomainError):
         asymptotics.hypergeometric_limit_sweep(1.0, 1.0, 3.0, 3.0, 3.0, 0.7, [0.0, 1.0])
     assert len(calls) == 10
+
+
+def test_convergence_record_is_a_frozen_value():
+    record = asymptotics.ConvergenceRecord(10.0, 1 + 2j, 1 + 2.5j, 0.5)
+    twin = asymptotics.ConvergenceRecord(
+        radius=10.0, kernel_value=1 + 2j, limit_value=1 + 2.5j, abs_error=0.5
+    )
+    assert record == twin and hash(record) == hash(twin)
+    assert record != asymptotics.ConvergenceRecord(10.0, 1 + 2j, 1 + 2.5j, 0.25)
+    assert copy.copy(record) == record
+    with pytest.raises(AttributeError):
+        record.radius = 20.0
+    with pytest.raises(AttributeError):
+        del record.abs_error
+    assert repr(record) == (
+        "ConvergenceRecord(radius=10.0, kernel_value=(1+2j), limit_value=(1+2.5j), abs_error=0.5)"
+    )

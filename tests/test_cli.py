@@ -276,6 +276,30 @@ def test_non_finite_kernel_exits_2(capsys, method):
     assert err.startswith("error: ") and "not a finite float" in err
 
 
+@pytest.mark.parametrize("argv, flag, least, got", [
+    (["verify", "--suite", "norms", "--degree-cap", "-1"], "--degree-cap", 0, -1),
+    (["verify", "--suite", "sobolev", "--degree-cap", "-1"], "--degree-cap", 0, -1),
+    (["verify", "--suite", "orthogonality", "--degree-cap", "0"], "--degree-cap", 1, 0),
+    (["norms", "--space", "ball", "--alpha", "0", "--max-total-degree", "-2"],
+     "--max-total-degree", 0, -2),
+], ids=["verify-norms", "verify-sobolev", "verify-orthogonality-no-pair", "norms"])
+def test_degree_flags_below_their_least_exit_2(capsys, argv, flag, least, got):
+    # no empty table, no vacuous pass and no max() of nothing: a usage error
+    # naming the flag, before any case is built
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= {least}") and err.endswith(f", got {got}\n")
+
+
+@pytest.mark.parametrize("suite", ["norms", "sobolev"])
+def test_verify_degree_cap_zero_checks_the_constants(capsys, suite):
+    code, out, _ = _run(capsys, ["verify", "--suite", suite, "--space", "ball", "--alpha", "0",
+                                 "--m", "0", "--degree-cap", "0"])
+    assert code == 0
+    assert _csv_rows(out)[0]["status"] == "pass"
+
+
 @pytest.mark.parametrize("suite", ["norms", "orthogonality", "sobolev"])
 def test_verify_underflowed_norms_exit_2(capsys, suite):
     code, out, err = _run(

@@ -1,6 +1,5 @@
 import cmath
 import copy
-import dataclasses
 import math
 import random
 import sys
@@ -447,7 +446,8 @@ def test_multiplier_table_bound_and_spec_identity():
     # a spec is its two fields, and nothing else takes part in equality,
     # hashing or repr
     assert vars(spec) == {"numerator_params": num, "denominator_params": den}
-    for other in (copy.copy(spec), dataclasses.replace(spec), twin):
+    for other in (copy.copy(spec),
+                  HypergeometricSpec(spec.numerator_params, spec.denominator_params), twin):
         assert other == spec and hash(other) == hash(spec)
         assert repr(other) == repr(spec) == (
             "HypergeometricSpec(numerator_params=(1.0, 1.0, 3.5), denominator_params=(2.0, 2.0))")
@@ -505,3 +505,23 @@ def test_multiplier_table_shared_by_threads():
     for i in range(blocks):
         assert (hypergeo._multipliers(num, den, i).tolist()
                 == hypergeo._multipliers.__wrapped__(num, den, i).tolist())
+
+
+def test_series_records_are_frozen_values():
+    spec = HypergeometricSpec([1, 1, 3.5], (2, 2))
+    assert spec == HypergeometricSpec(numerator_params=(1.0, 1.0, 3.5),
+                                      denominator_params=[2.0, 2.0])
+    assert spec != HypergeometricSpec((1, 1, 3.5), (2, 3))
+    result = SeriesResult(0.5 - 2j, 7, 1e-17)
+    twin = SeriesResult(value=0.5 - 2j, terms_used=7, error_estimate=1e-17)
+    assert result == twin and hash(result) == hash(twin)
+    assert result != SeriesResult(0.5 - 2j, 8, 1e-17) and result != (0.5 - 2j, 7, 1e-17)
+    for record in (spec, result):
+        assert copy.copy(record) == record and hash(copy.copy(record)) == hash(record)
+        with pytest.raises(AttributeError):
+            record.value = 0.0
+        with pytest.raises(AttributeError):
+            del record.terms_used
+    assert repr(result) == "SeriesResult(value=(0.5-2j), terms_used=7, error_estimate=1e-17)"
+    assert repr(SeriesResult(1.0, 1, 0.0)) == (
+        "SeriesResult(value=1.0, terms_used=1, error_estimate=0.0)")

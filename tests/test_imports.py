@@ -1,4 +1,5 @@
-"""Import hygiene: numpy loads only where quadrature needs it, scipy nowhere.
+"""Import hygiene: numpy loads only where quadrature needs it, scipy nowhere,
+and the CLI starts without the standard library's heavier modules.
 
 Each check runs in a fresh interpreter, because the test process itself has
 long since imported numpy and ``holospaces.quadrature``.
@@ -13,6 +14,9 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 HEAVY = ("numpy", "scipy")
+# inspect (with ast, dis and tokenize) is most of what dataclasses costs at
+# start-up; json is loaded by --format json alone
+LIGHT = ("dataclasses", "inspect", "json")
 
 STDLIB_COMMANDS = {
     "kernel-ball": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.3,0.1"],
@@ -44,11 +48,14 @@ def _run(script: str) -> dict:
 
 def test_cli_commands_start_without_numpy_or_scipy():
     script = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 
 HEAVY = {HEAVY!r}
+LIGHT = {LIGHT!r}
+preloaded = set(sys.modules)  # a site .pth may load some of LIGHT itself
 def loaded():
-    return sorted(m for m in HEAVY if m in sys.modules)
+    return (sorted(m for m in HEAVY if m in sys.modules)
+            + sorted(m for m in LIGHT if m in sys.modules and m not in preloaded))
 
 import holospaces, holospaces.cli
 report = {{"import": loaded(), "codes": {{}}}}
@@ -57,16 +64,26 @@ for name, argv in {STDLIB_COMMANDS!r}.items():
         report["codes"][name] = holospaces.cli.main(argv)
     report[name] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
+    report["codes"]["kernel-json"] = holospaces.cli.main(
+        {STDLIB_COMMANDS["kernel-ball"]!r} + ["--format", "json"]
+    )
+report["kernel-json"] = [m for m in LIGHT if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
     report["codes"]["verify-norms"] = holospaces.cli.main(
         ["verify", "--suite", "norms", "--space", "ball", "--alpha", "0", "--m", "0",
          "--degree-cap", "2"]
     )
-report["verify-norms"] = loaded()
+report["verify-norms"] = [m for m in HEAVY if m in sys.modules]
+import json
 print(json.dumps(report))
 """
     report = _run(script)
-    assert report.pop("codes") == {**{name: 0 for name in STDLIB_COMMANDS}, "verify-norms": 0}
-    # the quadrature suite does load numpy, so the checks above can see a leak
+    assert report.pop("codes") == {
+        **{name: 0 for name in STDLIB_COMMANDS}, "kernel-json": 0, "verify-norms": 0
+    }
+    # the JSON output and the quadrature suite do load json and numpy, so the
+    # checks above can see a leak
+    assert "json" in report.pop("kernel-json")
     assert report.pop("verify-norms") == ["numpy"]
     assert report == {"import": [], **{name: [] for name in STDLIB_COMMANDS}}
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -599,3 +600,28 @@ def test_series_integral_allocates_no_point_array():
     finally:
         tracemalloc.stop()
     assert peak < grid.points.shape[0] * 16 / 8
+
+
+def test_quadrature_grid_is_frozen_with_identity_equality():
+    grid = quadrature.QuadratureGrid.for_gaussian(1, capacity=1)
+    twin = quadrature.QuadratureGrid(
+        kind="gaussian", n=1, capacity=1, alpha=None, radial_nodes=grid.radial_nodes,
+        radial_weights=grid.radial_weights, u_nodes=None, u_weights=None, theta_count=3,
+        weights=grid.weights,
+    )
+    assert twin != grid and twin == twin and hash(grid) != hash(twin)
+    shallow = copy.copy(grid)
+    assert shallow != grid and shallow.weights is grid.weights
+    with pytest.raises(AttributeError):
+        grid.capacity = 2
+    with pytest.raises(AttributeError):
+        del grid.weights
+    # the lazily filled tables stay out of the repr
+    grid.points
+    assert repr(grid) == repr(twin) == (
+        "QuadratureGrid(kind='gaussian', n=1, capacity=1, alpha=None, "
+        "radial_nodes=array([0.58578644, 3.41421356]), "
+        "radial_weights=array([0.85355339, 0.14644661]), u_nodes=None, u_weights=None, "
+        "theta_count=3, weights=array([0.89383902, 0.89383902, 0.89383902, 0.15335853, "
+        "0.15335853,\n       0.15335853]))"
+    )

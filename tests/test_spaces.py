@@ -1,4 +1,5 @@
 import cmath
+import copy
 import importlib.util
 import math
 import random
@@ -330,3 +331,27 @@ def test_near_boundary_switch_follows_the_series_length(m, u, integral):
     else:
         expected = _outcome(_reference_closed_detail, space, u)
         assert _outcome(bergman.kernel_closed_detail, space, u) == expected
+
+
+def test_space_records_are_frozen_values():
+    ball = bergman.BergmanDirichletSpace(2, 0.5, 1)
+    fock = bargmann.BargmannDirichletSpace(2, 1.5, 0)
+    assert ball == bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=1, radius=1.0)
+    assert fock == bargmann.BargmannDirichletSpace(n=2, nu=1.5, m=0)
+    assert hash(ball) == hash(bergman.BergmanDirichletSpace(2, 0.5, 1, 1.0))
+    assert hash(fock) == hash(bargmann.BargmannDirichletSpace(2, 1.5, 0))
+    assert ball != bergman.BergmanDirichletSpace(2, 0.5, 1, 2.0)
+    assert fock != bargmann.BargmannDirichletSpace(2, 1.5, 1)
+    # the plane's radius, pfq_extra and tail factor are class attributes, not fields
+    assert vars(fock) == {"n": 2, "nu": 1.5, "m": 0} and fock.radius == math.inf
+    assert vars(ball) == {"n": 2, "alpha": 0.5, "m": 1, "radius": 1.0}
+    for space in (ball, fock):
+        assert space != (2, 0.5, 1) and copy.copy(space) == space
+        with pytest.raises(AttributeError):
+            space.n = 3
+        with pytest.raises(AttributeError):
+            del space.m
+    assert repr(ball) == "BergmanDirichletSpace(n=2, alpha=0.5, m=1, radius=1.0)"
+    assert repr(bergman.BergmanDirichletSpace(1, 0, 2, 3.0)) == (
+        "BergmanDirichletSpace(n=1, alpha=0, m=2, radius=3.0)")
+    assert repr(fock) == "BargmannDirichletSpace(n=2, nu=1.5, m=0)"

@@ -1,4 +1,5 @@
 import math
+import copy
 
 import numpy as np
 import pytest
@@ -161,3 +162,19 @@ def test_point_inner_matches_inner():
     z, w = (0.1 + 0.2j, -0.3, 2e-300j), (0.25j, 0.05 - 0.1j, 3.0)
     assert repr(point_inner(as_point(z), as_point(w))) == repr(inner(z, w))
     assert repr(point_inner(as_point([1]), as_point([1j]))) == repr(inner([1], [1j]))
+
+
+def test_taylor_series_is_a_frozen_unhashable_value():
+    series = TaylorSeries(2, {(1, 0): 2, (0, 1): 0, (0, 2): 1j})
+    assert series == TaylorSeries(dimension=2, coefficients={(0, 2): 1j, (1, 0): 2.0})
+    assert series != TaylorSeries(2, {(1, 0): 2}) and series != monomial((1, 0))
+    assert TaylorSeries(1) == TaylorSeries(1, {}) == zero(1) != zero(2)
+    assert copy.copy(series) == series
+    with pytest.raises(TypeError):
+        hash(series)
+    with pytest.raises(AttributeError):
+        series.dimension = 3
+    with pytest.raises(AttributeError):
+        del series.coefficients
+    assert repr(series) == "TaylorSeries(dimension=2, coefficients={(1, 0): (2+0j), (0, 2): 1j})"
+    assert repr(TaylorSeries(1)) == "TaylorSeries(dimension=1, coefficients={})"
