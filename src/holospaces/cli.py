@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import product
 
 from . import asymptotics, bargmann, bergman, hypergeo, spaces
 from . import multiindex as mi
@@ -68,26 +69,26 @@ def _parse_t(text: str) -> complex:
     raise ValueError(f"--t expects 're' or 're,im', got {text!r}")
 
 
+# Per family: the space class, the values the verify suites sweep for each
+# parameter not given, and the variant norm of --nu-denominator-variant.
+_FAMILIES = {
+    "ball": (bergman.BergmanDirichletSpace, {"alpha": (0.0, 0.5, 2.0), "m": (0, 1, 2, 3)}, None),
+    "fock": (bargmann.BargmannDirichletSpace, {"nu": (1.0, 2.0), "m": (0, 1, 2)},
+             bargmann.monomial_norm_sq_nu_denominator_variant),
+}
+
+
 def _build_space(args):
-    if args.space == "ball":
-        if args.alpha is None:
-            raise DomainError("ball space requires --alpha")
-        return bergman.BergmanDirichletSpace(
-            n=args.n, alpha=args.alpha, m=args.m, radius=args.radius
-        )
-    if args.nu is None:
-        raise DomainError("fock space requires --nu")
-    return bargmann.BargmannDirichletSpace(n=args.n, nu=args.nu, m=args.m)
+    space_class = _FAMILIES[args.space][0]
+    params = {name: getattr(args, name) for name in space_class._fields}
+    for name, value in params.items():
+        if value is None:
+            raise DomainError(f"{args.space} space requires --{name}")
+    return space_class(**params)
 
 
-def _space_meta(args) -> dict:
-    meta = {"space": args.space, "n": args.n, "m": args.m}
-    if args.space == "ball":
-        meta["alpha"] = args.alpha
-        meta["radius"] = args.radius
-    else:
-        meta["nu"] = args.nu
-    return meta
+def _space_meta(args, space) -> dict:
+    return {"space": args.space, **{name: getattr(space, name) for name in space._fields}}
 
 
 def _resolve_inner(args) -> complex:
@@ -112,7 +113,7 @@ def cmd_kernel(args) -> int:
         terms_used, estimate = detail.terms_used, detail.error_estimate
     else:
         value, terms_used, estimate = spaces.kernel_series_with_tail(space, t, args.max_degree)
-    meta = _space_meta(args)
+    meta = _space_meta(args, space)
     meta.update(
         command="kernel",
         method=args.method,
@@ -144,36 +145,30 @@ def cmd_norms(args) -> int:
             norm_sq = space.monomial_norm_sq(p)
             coeff = spaces.normalized_norm_sq(space, p)
             rows.append({"p": " ".join(map(str, p)), "coeff": coeff, "norm_sq": norm_sq})
-    meta = _space_meta(args)
+    meta = _space_meta(args, space)
     meta.update(command="norms", max_total_degree=args.max_total_degree)
     _emit(meta, ["p", "coeff", "norm_sq"], rows, args.format, args.output)
     return 0
 
 
 def _verify_space_grid(args):
-    """Parameter sets swept by the verification suites."""
+    """(label, space, variant norm) per parameter set the suites sweep."""
     grid = []
-    if args.space in ("ball", "both"):
-        alphas = [args.alpha] if args.alpha is not None else [0.0, 0.5, 2.0]
-        orders = [args.m] if args.m is not None else [0, 1, 2, 3]
-        for alpha in alphas:
-            for m in orders:
-                grid.append(
-                    bergman.BergmanDirichletSpace(n=args.n, alpha=alpha, m=m, radius=args.radius)
-                )
-    if args.space in ("fock", "both"):
-        nus = [args.nu] if args.nu is not None else [1.0, 2.0]
-        orders = [args.m] if args.m is not None else [0, 1, 2]
-        for nu in nus:
-            for m in orders:
-                grid.append(bargmann.BargmannDirichletSpace(n=args.n, nu=nu, m=m))
+    for family, (space_class, sweep, variant) in _FAMILIES.items():
+        if args.space in (family, "both"):
+            choices = [sweep[name] if (value := getattr(args, name)) is None else (value,)
+                       for name in space_class._fields]
+            for values in product(*choices):
+                label = " ".join([family, *map(_label_item, space_class._fields, values)])
+                # each constructor takes its fields in order
+                grid.append((label, space_class(*values), variant))
     return grid
 
 
-def _space_label(space) -> str:
-    if isinstance(space, bergman.BergmanDirichletSpace):
-        return f"ball n={space.n} alpha={space.alpha:g} m={space.m} R={space.radius:g}"
-    return f"fock n={space.n} nu={space.nu:g} m={space.m}"
+def _label_item(name: str, value) -> str:
+    """name=value in a case label: the radius as R, a float as :g."""
+    text = format(value, "g" if isinstance(value, float) else "")
+    return f"{'R' if name == 'radius' else name}={text}"
 
 
 def _random_polynomial(rng, n: int, max_degree: int) -> TaylorSeries:
@@ -189,18 +184,15 @@ def _suite_norms(args):
 
     cap = args.degree_cap
     cases = []
-    for space in _verify_space_grid(args):
+    for label, space, variant in _verify_space_grid(args):
         grid = quadrature.default_grid(space, capacity=max(cap, 2))
-        use_variant = args.nu_denominator_variant and isinstance(
-            space, bargmann.BargmannDirichletSpace
-        )
+        if not args.nu_denominator_variant:
+            variant = None
         for k in range(cap + 1):
             for p in mi.enumerate_indices(args.n, k):
-                formula = (
-                    bargmann.monomial_norm_sq_nu_denominator_variant(space, p) if use_variant else None
-                )
+                formula = variant(space, p) if variant else None
                 residual = quadrature.verify_monomial_norm(space, p, grid, formula=formula)
-                cases.append((f"{_space_label(space)} p=({' '.join(map(str, p))})", residual))
+                cases.append((f"{label} p=({' '.join(map(str, p))})", residual))
     return cases, NORM_TOL
 
 
@@ -209,7 +201,7 @@ def _suite_orthogonality(args):
 
     cap = min(args.degree_cap, 4)
     cases = []
-    for space in _verify_space_grid(args):
+    for label, space, _ in _verify_space_grid(args):
         grid = quadrature.default_grid(space, capacity=max(cap, 2))
         indices = []
         for k in range(cap + 1):
@@ -219,7 +211,7 @@ def _suite_orthogonality(args):
                 residual = quadrature.verify_orthogonality(space, p, q, grid)
                 cases.append(
                     (
-                        f"{_space_label(space)} p=({' '.join(map(str, p))})"
+                        f"{label} p=({' '.join(map(str, p))})"
                         f" q=({' '.join(map(str, q))})",
                         residual,
                     )
@@ -235,12 +227,12 @@ def _suite_sobolev(args):
     cap = args.degree_cap
     rng = np.random.default_rng(_SOBOLEV_SEED)
     cases = []
-    for space in _verify_space_grid(args):
+    for label, space, _ in _verify_space_grid(args):
         grid = quadrature.default_grid(space, capacity=max(cap, 2))
         for trial in range(3):
             poly = _random_polynomial(rng, args.n, cap)
             residual = quadrature.verify_sobolev_norm(space, poly, grid)
-            cases.append((f"{_space_label(space)} trial={trial}", residual))
+            cases.append((f"{label} trial={trial}", residual))
     return cases, SOBOLEV_TOL
 
 

@@ -36,9 +36,10 @@ from .hypergeo import (
     CompensatedSum,
     HypergeometricSpec,
     SeriesResult,
+    check_budget,
     eval_pfq,
 )
-from .taylor import TaylorSeries, as_point, canonical_order, point_inner, vector_norm
+from .taylor import TaylorSeries, as_point, point_inner, vector_norm
 
 DEFAULT_SERIES_DEGREE = 200
 
@@ -173,8 +174,8 @@ def function_norm_sq(space: Space, f: TaylorSeries) -> float:
     if f.dimension != space.n:
         raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
     acc = CompensatedSum()
-    for p in canonical_order(f.coefficients):
-        acc.add(space.monomial_norm_sq(p) * abs(f.coefficients[p]) ** 2)
+    for p, a in f.coefficients.items():
+        acc.add(space.monomial_norm_sq(p) * abs(a) ** 2)
     return acc.value
 
 
@@ -183,10 +184,10 @@ def inner_product(space: Space, f: TaylorSeries, g: TaylorSeries) -> complex:
     if f.dimension != space.n or g.dimension != space.n:
         raise ValueError("series dimensions must match the space dimension")
     acc = ComplexCompensatedSum()
-    for p in canonical_order(f.coefficients):
+    for p, a in f.coefficients.items():
         b = g.coefficients.get(p)
         if b is not None:
-            acc.add(space.monomial_norm_sq(p) * f.coefficients[p] * b.conjugate())
+            acc.add(space.monomial_norm_sq(p) * a * b.conjugate())
     return acc.value
 
 
@@ -302,7 +303,8 @@ def kernel_closed_detail(
 ) -> tuple[complex, SeriesResult]:
     """Closed-form kernel at t = <z, w>, plus its evaluation record.
 
-    For m >= 1 the record is that of the pFq factor.  On the ball with
+    For m >= 1 the record is that of the pFq factor, and ``tol`` must be
+    positive and ``max_terms`` >= 1 (ValueError).  On the ball with
     m <= 4, |x| >= 0.85 and a series predicted to run past 150 terms
     (``_series_outlasts``) the factor is first taken from a fixed 225-node
     integral (``_ball_integral.high_part``), whose record holds 225 and its
@@ -314,10 +316,10 @@ def kernel_closed_detail(
     t, x = _argument(space, t)
     if space.m == 0:
         return _kernel_order_zero(space, x)
+    check_budget(tol, max_terms)
     low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
     f = None
-    # max_terms < 1 is left to eval_pfq, which rejects it
-    if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER and max_terms >= 1
+    if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER
             and abs(x) >= _INTEGRAL_MIN_ARGUMENT
             and _series_outlasts(space.pfq_extra[0], space.m, abs(x), tol)):
         from . import _ball_integral  # compiled only by a process that needs it

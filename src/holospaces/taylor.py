@@ -2,9 +2,11 @@
 
 A series is a sparse map from exponent tuples to complex coefficients; all
 operations here are exact on that finite data.  Zero coefficients are pruned
-on construction so equality of series is plain map equality, and every sum
-over stored terms runs in the canonical order (ascending degree, then
-lexicographically descending parts) to keep results bit-reproducible.
+on construction, and NaN or infinite ones rejected, so equality of series is
+plain map equality.  The terms are stored in the canonical order (ascending
+degree, then lexicographically descending parts), sorted once on
+construction, so every sum over ``coefficients.items()`` runs in that order
+and results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -78,19 +80,25 @@ class TaylorSeries(Record):
                     f"index {q} has length {len(q)}, series dimension is {dimension}"
                 )
             a = complex(a)
+            if not cmath.isfinite(a):
+                raise ValueError(f"coefficient of index {q} is not finite: {a}")
             if a != 0:
                 clean[q] = a
         set_field(self, "dimension", dimension)
-        set_field(self, "coefficients", clean)
+        set_field(self, "coefficients", {q: clean[q] for q in canonical_order(clean)})
 
     @classmethod
     def _from_valid(cls, dimension: int, coefficients: dict) -> TaylorSeries:
-        """A series from nonzero complex coefficients whose keys are exponent
-        tuples of length ``dimension`` already validated, taken as they are.
+        """A series from nonzero complex coefficients whose keys are
+        exponent tuples of length ``dimension`` already validated and already
+        in canonical order, taken as they are.
 
         ``split`` and ``derivative`` derive their keys from a valid series,
         and ``monomial`` validates its index itself, so the checks of
-        ``__init__`` would only repeat themselves.
+        ``__init__`` would only repeat themselves.  Their order holds too: a
+        filter keeps the canonical order, and so does subtracting one q from
+        every key, which lowers each degree by |q| and keeps the parts'
+        lexicographic order.
         """
         series = object.__new__(cls)
         set_field(series, "dimension", dimension)
@@ -108,8 +116,7 @@ class TaylorSeries(Record):
         """Value sum_p a_p z^p, accumulated in canonical index order."""
         pt = as_point(z, self.dimension)
         total = 0j
-        for p in canonical_order(self.coefficients):
-            term = self.coefficients[p]
+        for p, term in self.coefficients.items():
             for zj, pj in zip(pt, p):
                 term *= zj**pj
             total += term

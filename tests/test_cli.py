@@ -227,6 +227,18 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
     assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--space", "fock", "--n", "2", "--m", "1", "--t", "0.5"],
+     "fock space requires --nu"),
+    (["norms", "--space", "ball", "--n", "2", "--m", "1"], "ball space requires --alpha"),
+], ids=["fock-nu", "ball-alpha"])
+def test_space_without_its_weight_exits_2(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 _FOCK_KERNEL = ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--t", "2"]
 _SWEEP = ["sweep", "--nu", "1", "--n", "2", "--t", "0.3,0.2", "--radii", "2,4,8"]
 

@@ -548,8 +548,18 @@ def test_sobolev_product_keeps_the_grid_checks():
         quadrature.sobolev_inner_quadrature(fock, monomial((7, 0)), phi, gaussian)
     with pytest.raises(CapacityError):
         quadrature.sobolev_inner_quadrature(fock, phi, monomial((3, 4)), gaussian)
-    with pytest.raises(CapacityError):
+    # the Gram table holds the monomials of degree <= capacity: a lookup
+    # beyond it is each verify_*'s capacity check
+    beyond = "declared degree 7 exceeds grid capacity 6"
+    with pytest.raises(CapacityError, match=beyond):
+        quadrature.verify_monomial_norm(fock, (7, 0), gaussian)
+    with pytest.raises(CapacityError, match=beyond):
         quadrature.verify_orthogonality(fock, (0, 0), (4, 3), gaussian)
+    with pytest.raises(CapacityError, match=beyond):
+        quadrature.verify_sobolev_norm(fock, TaylorSeries(2, {(1, 0): 1.0, (0, 7): 2j}), gaussian)
+    # a grid of another family is named first
+    with pytest.raises(ValueError, match="grid is for kind=gaussian"):
+        quadrature.verify_monomial_norm(ball, (7, 0), gaussian)
     with pytest.raises(ValueError, match="dimensions 3, 2"):
         quadrature.sobolev_inner_quadrature(fock, monomial((1, 0, 0)), phi, gaussian)
     with pytest.raises(ValueError, match="summed from the grid's tables"):

@@ -163,6 +163,19 @@ def test_non_finite_kernels_are_domain_errors():
             bargmann.kernel_series_with_tail(fock, 1 + 1j)
 
 
+@pytest.mark.parametrize("space, t", [
+    (bergman.BergmanDirichletSpace(2, 0.5, 1), 0.95),  # where the integral is weighed
+    (bergman.BergmanDirichletSpace(2, 0.5, 1), 0.3),
+    (bargmann.BargmannDirichletSpace(2, 1.0, 2), 0.5),
+], ids=["ball-boundary", "ball", "fock"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_non_positive_tolerance_is_a_value_error(space, t, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        spaces.kernel_closed_detail(space, t, tol)
+    with pytest.raises(ValueError, match="max_terms must be >= 1"):
+        spaces.kernel_closed_detail(space, t, 1e-14, 0)
+
+
 def test_kernel_points_keep_their_values_and_error_messages():
     space = bergman.BergmanDirichletSpace(2, 0.5, 1)
     z, w = (0.1 + 0.2j, -0.3), (0.25j, 0.05 - 0.1j)

@@ -9,6 +9,7 @@ from holospaces import multiindex as mi
 from holospaces.taylor import (
     TaylorSeries,
     as_point,
+    canonical_order,
     inner,
     monomial,
     point_inner,
@@ -156,6 +157,21 @@ def test_constructor_validation():
         TaylorSeries(2, {(1,): 1.0})
     with pytest.raises(ValueError):
         TaylorSeries(1, {(-1,): 1.0})
+    for value in (math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError, match=r"coefficient of index \(1, 0\) is not finite"):
+            TaylorSeries(2, {(0, 0): 1.0, (1, 0): value})
+
+
+def test_every_construction_stores_keys_in_canonical_order():
+    rng = np.random.default_rng(19)
+    keys = [p for k in range(6) for p in mi.enumerate_indices(3, k)]
+    shuffled = [keys[i] for i in rng.permutation(len(keys))]
+    f = TaylorSeries(3, {p: 1.0 + i for i, p in enumerate(shuffled)})
+    series = [f, *f.split(3), f.derivative((1, 0, 2)), f.derivative((0, 0, 0)),
+              monomial((2, 0, 1)), zero(3)]
+    for g in series:
+        assert list(g.coefficients) == canonical_order(g.coefficients)
+    assert list(f.coefficients) == canonical_order(keys) != shuffled
 
 
 def test_point_inner_matches_inner():
