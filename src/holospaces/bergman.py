@@ -36,9 +36,10 @@ import math
 from . import multiindex as mi
 from ._record import Record, set_field
 from .errors import DomainError
-from .hypergeo import CompensatedSum, pochhammer
+from .hypergeo import compensated_sum, pochhammer
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
     DEFAULT_SERIES_DEGREE,
+    _degree_terms,
     function_norm_sq,
     inner_product,
     kernel_closed,
@@ -131,19 +132,16 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
     r = vector_norm(zt)
     if r >= 1.0:
         raise DomainError(f"point |z| = {r:.6g} must be < 1")
-    a3 = space.alpha + space.n + 1.0
-    acc = CompensatedSum()
-    term = 1.0
-    for k in range(space.m):
-        acc.add(term)
-        term = term * ((a3 + k) / (k + 1)) * r
     try:
-        acc.add((1.0 - r * r) ** (-a3))
+        tail = (1.0 - r * r) ** -(space.alpha + space.n + 1.0)
     except OverflowError as exc:
         raise DomainError(
             f"(1 - |z|^2)^-(alpha+n+1) at |z| = {r:.6g} is beyond the float range"
         ) from exc
-    value = space.kernel_prefactor() * acc.value
+    # the kernel's low-degree terms at t = x = r; complex terms with imaginary
+    # part 0 leave every bit of the real sum as real terms would
+    low = _degree_terms(space, r, r, space.m - 1)
+    value = space.kernel_prefactor() * compensated_sum([*low, tail]).real
     if not math.isfinite(value):
         raise DomainError(f"the evaluation constant at |z| = {r:.6g} is not finite ({value})")
     return value

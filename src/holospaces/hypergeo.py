@@ -8,11 +8,11 @@ evaluated by the term recurrence
 which never forms a Pochhammer symbol in isolation and therefore stays finite
 even when one numerator parameter is of order 1e4 (the scaled-curvature
 regime).  The terms are summed with the Neumaier compensation of
-``CompensatedSum``, applied to the real and imaginary parts; ``eval_pfq``
-inlines those float operations, in the same order, into its term loop, so
-that a series of thousands of terms makes no per-term method calls, and
-reads each term's multiplier from a bounded cache of fixed blocks that equal
-parameter lists share.  Gamma ratios are never computed through raw Gamma:
+``compensated_sum``, applied to the real and imaginary parts; ``eval_pfq``
+repeats those float operations, in the same order, in its term loop, as its
+stop test reads the running sum after every term.  It reads each term's
+multiplier from a bounded cache of fixed blocks that equal parameter lists
+share.  Gamma ratios are never computed through raw Gamma:
 ``gamma_ratio`` takes integer offsets only, where the ratio is a Pochhammer
 product.
 """
@@ -28,44 +28,30 @@ from ._record import Record, set_field
 from .errors import DivergenceError, DomainError, NonconvergenceError
 
 
-class CompensatedSum:
-    """Running Neumaier (Kahan-Babuska) accumulator for float terms."""
+def compensated_sum(values) -> complex:
+    """Neumaier (Kahan-Babuska) sum of real or complex values, in one pass.
 
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - s) + x
+    Each value is added to the real part, then to the imaginary part (a real
+    value adds 0 to it), by the compensated step; the result is each part's
+    sum plus its compensation.
+    """
+    re_s = re_c = im_s = im_c = 0.0
+    for v in values:
+        x = v.real
+        s = re_s + x
+        if abs(re_s) >= abs(x):
+            re_c += (re_s - s) + x
         else:
-            self._c += (x - s) + self._s
-        self._s = s
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-
-class ComplexCompensatedSum:
-    """Componentwise compensated accumulator for complex terms."""
-
-    __slots__ = ("_re", "_im")
-
-    def __init__(self):
-        self._re = CompensatedSum()
-        self._im = CompensatedSum()
-
-    def add(self, x: complex) -> None:
-        self._re.add(x.real)
-        self._im.add(x.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re.value, self._im.value)
+            re_c += (x - s) + re_s
+        re_s = s
+        x = v.imag
+        s = im_s + x
+        if abs(im_s) >= abs(x):
+            im_c += (im_s - s) + x
+        else:
+            im_c += (x - s) + im_s
+        im_s = s
+    return complex(re_s + re_c, im_s + im_c)
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -198,8 +184,9 @@ def eval_pfq(
     all specs together, so a call on parameters met before reads stored
     multipliers, and a call on new ones fills at most 31 more than it reads.
 
-    The partial sum is a Neumaier sum per component, ``CompensatedSum.add``
-    inlined.  Before the exact stop test, |t_k| > 2 tol (|Re s| + |Im s|)
+    The partial sum is a Neumaier sum per component, the steps of
+    ``compensated_sum`` written out, as the stop test reads it after every
+    term.  Before the exact stop test, |t_k| > 2 tol (|Re s| + |Im s|)
     rules a term out cheaply.  It cannot change the decision: the computed
     |s| = hypot(Re s, Im s) is at most twice the rounded |Re s| + |Im s| (a
     factor of 1 would not do, as hypot can round one ulp above it), and a
@@ -220,7 +207,7 @@ def eval_pfq(
     # multipliers, and an estimate at its last term reads the next one
     multipliers = chain.from_iterable(map(partial(_multipliers, num, den), count()))
     cutoff = 2.0 * tol
-    # Neumaier sums of the real and imaginary parts, as in CompensatedSum,
+    # Neumaier sums of the real and imaginary parts, as in compensated_sum,
     # after adding the first term 1
     re_s, re_c, im_s, im_c = 1.0, 0.0, 0.0, 0.0
     term = 1 + 0j

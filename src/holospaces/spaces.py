@@ -32,11 +32,10 @@ from typing import Protocol
 from . import multiindex as mi
 from .errors import DomainError
 from .hypergeo import (
-    ComplexCompensatedSum,
-    CompensatedSum,
     HypergeometricSpec,
     SeriesResult,
     check_budget,
+    compensated_sum,
     eval_pfq,
 )
 from .taylor import TaylorSeries, as_point, point_inner, vector_norm
@@ -108,87 +107,60 @@ def _argument(space: Space, t) -> tuple[complex, complex]:
     return t, space.series_argument(t)
 
 
-def _degree_sum(
-    space: Space, t: complex, x: complex, max_degree: int, *, low_moduli: bool
-) -> tuple[complex, float]:
-    """Kernel series without the prefactor over degrees 0..max_degree, and |last term|.
+def _degree_terms(space: Space, t: complex, x: complex, max_degree: int) -> list:
+    """Kernel series terms without the prefactor, degrees 0..max_degree in order.
 
     Degree k < m steps from the one below by c -> c * (a + k - 1) * x / k,
     degree m is t^m/(m!)^2, and degree k > m steps by
     c -> c * (a + j) * (j + 1) / k^2 * x with j = k - 1 - m; the factor
     (a + ...) is absent on the plane.  Each family keeps the multiply order
     it was first written in, so that its values stay the same to the last
-    bit.  The terms are summed in ascending degree with the Neumaier
-    compensation of ``hypergeo.CompensatedSum``, inlined per component.
-    ``low_moduli`` takes |c_k| of every degree below m, as the series
-    oracle always has, so that a term with finite parts but an overflowing
-    modulus raises DomainError there; the closed kernel never took them.
+    bit.  A degree-m term beyond the float range is a DomainError.
     """
     extra = space.pfq_extra
     if extra:
         (a,) = extra
     m = space.m
-    re_s = re_c = im_s = im_c = 0.0
     term = 1 + 0j
-    last = 1.0
-    try:
-        for k in range(max_degree + 1):
-            if k == m:
-                mfact = math.factorial(m)
+    terms = []
+    for k in range(max_degree + 1):
+        if k == m:
+            mfact = math.factorial(m)
+            try:
                 term = t**m / (mfact * mfact)
-            elif k:
-                if k < m:
-                    j, num, den = k - 1, 1, k
-                else:
-                    j = k - 1 - m
-                    num, den = j + 1, k * k
-                if extra:
-                    term = term * ((a + j) * num / den) * x
-                else:
-                    term = term * x * num / den
-            v = term.real
-            s = re_s + v
-            if abs(re_s) >= abs(v):
-                re_c += (re_s - s) + v
+            except OverflowError as exc:
+                raise DomainError(
+                    f"kernel series term {k} has a modulus beyond the float range"
+                ) from exc
+        elif k:
+            if k < m:
+                j, num, den = k - 1, 1, k
             else:
-                re_c += (v - s) + re_s
-            re_s = s
-            v = term.imag
-            s = im_s + v
-            if abs(im_s) >= abs(v):
-                im_c += (im_s - s) + v
+                j = k - 1 - m
+                num, den = j + 1, k * k
+            if extra:
+                term = term * ((a + j) * num / den) * x
             else:
-                im_c += (v - s) + im_s
-            im_s = s
-            if low_moduli and k < m:
-                last = abs(term)
-        if max_degree >= m:
-            last = abs(term)
-    except OverflowError as exc:  # t^m, or abs() of a term whose parts are finite
-        raise DomainError(f"kernel series term {k} has a modulus beyond the float range") from exc
-    return complex(re_s + re_c, im_s + im_c), last
+                term = term * x * num / den
+        terms.append(term)
+    return terms
 
 
 def function_norm_sq(space: Space, f: TaylorSeries) -> float:
     """Squared norm sum_p ||z^p||^2 |a_p|^2; zero iff f is the zero series."""
     if f.dimension != space.n:
         raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
-    acc = CompensatedSum()
-    for p, a in f.coefficients.items():
-        acc.add(space.monomial_norm_sq(p) * abs(a) ** 2)
-    return acc.value
+    return compensated_sum([space.monomial_norm_sq(p) * abs(a) ** 2
+                            for p, a in f.coefficients.items()]).real
 
 
 def inner_product(space: Space, f: TaylorSeries, g: TaylorSeries) -> complex:
     """Sesquilinear product sum_p ||z^p||^2 a_p conj(b_p) (linear in f)."""
     if f.dimension != space.n or g.dimension != space.n:
         raise ValueError("series dimensions must match the space dimension")
-    acc = ComplexCompensatedSum()
-    for p, a in f.coefficients.items():
-        b = g.coefficients.get(p)
-        if b is not None:
-            acc.add(space.monomial_norm_sq(p) * a * b.conjugate())
-    return acc.value
+    gc = g.coefficients
+    return compensated_sum([space.monomial_norm_sq(p) * a * gc[p].conjugate()
+                            for p, a in f.coefficients.items() if p in gc])
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,7 +289,8 @@ def kernel_closed_detail(
     if space.m == 0:
         return _kernel_order_zero(space, x)
     check_budget(tol, max_terms)
-    low, _ = _degree_sum(space, t, x, space.m - 1, low_moduli=False)
+    low = _degree_terms(space, t, x, space.m)
+    high = low.pop()  # t^m/(m!)^2
     f = None
     if (space.pfq_extra and space.m <= _INTEGRAL_MAX_ORDER
             and abs(x) >= _INTEGRAL_MIN_ARGUMENT
@@ -327,8 +300,7 @@ def kernel_closed_detail(
         f = _ball_integral.high_part(space.pfq_extra[0], space.m, x, tol)
     if f is None:
         f = eval_pfq(_kernel_spec(space.pfq_extra, space.m), x, tol, max_terms)
-    mfact = math.factorial(space.m)
-    return _with_prefactor(space, low + t**space.m / (mfact * mfact) * f.value, x), f
+    return _with_prefactor(space, compensated_sum(low) + high * f.value, x), f
 
 
 def kernel_closed_from_inner(
@@ -372,8 +344,14 @@ def kernel_series_with_tail(
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     t, x = _argument(space, t)
-    value, last = _degree_sum(space, t, x, max_degree, low_moduli=True)
-    return _with_prefactor(space, value, x), max_degree + 1, last * space.series_tail_factor
+    terms = _degree_terms(space, t, x, max_degree)
+    try:  # |c_k| of every degree below m, where a modulus may overflow, and of the last
+        for k in (*range(min(space.m, max_degree)), max_degree):
+            last = abs(terms[k])
+    except OverflowError as exc:  # abs() of a term whose parts are finite
+        raise DomainError(f"kernel series term {k} has a modulus beyond the float range") from exc
+    value = _with_prefactor(space, compensated_sum(terms), x)
+    return value, max_degree + 1, last * space.series_tail_factor
 
 
 def kernel_series_from_inner(
@@ -406,14 +384,14 @@ def kernel_series_enumerated(
     """Second oracle: explicit sum over multi-indices, no degree collapse."""
     zt = as_point(z, space.n)
     wt = as_point(w, space.n)
-    acc = ComplexCompensatedSum()
+    terms = []
     for k in range(max_degree + 1):
         for p in mi.enumerate_indices(space.n, k):
             term = 1 + 0j
             for zj, wj, pj in zip(zt, wt, p):
                 term *= zj**pj * wj.conjugate() ** pj
-            acc.add(term / space.monomial_norm_sq(p))
-    return acc.value
+            terms.append(term / space.monomial_norm_sq(p))
+    return compensated_sum(terms)
 
 
 def _require_inside(space: Space, point: tuple, label: str) -> None:
@@ -435,7 +413,8 @@ def reproduce(space: Space, f: TaylorSeries, w) -> complex:
     """Pair f with the kernel section K(., w); equals f(w) for members.
 
     The kernel section is truncated at deg(f), which is exact for
-    polynomials because higher basis terms are orthogonal to f.
+    polynomials because higher basis terms are orthogonal to f.  A section
+    coefficient conj(w^p)/||z^p||^2 beyond the float range is a DomainError.
     """
     if f.dimension != space.n:
         raise ValueError(f"series dimension {f.dimension} != space dimension {space.n}")
@@ -447,8 +426,15 @@ def reproduce(space: Space, f: TaylorSeries, w) -> complex:
     for k in range(f.max_degree + 1):
         for p in mi.enumerate_indices(space.n, k):
             wp = 1 + 0j
-            for wj, pj in zip(wt, p):
-                wp *= wj**pj
-            coeffs[p] = wp.conjugate() / space.monomial_norm_sq(p)
+            try:
+                for wj, pj in zip(wt, p):
+                    wp *= wj**pj
+            except OverflowError:  # a power of a far point on the plane
+                wp = complex(math.inf)
+            c = wp.conjugate() / space.monomial_norm_sq(p)
+            if not cmath.isfinite(c):
+                raise DomainError(f"kernel section coefficient conj(w^p)/||z^p||^2 at p = {p} "
+                                  f"is beyond the float range ({c})")
+            coeffs[p] = c
     section = TaylorSeries(space.n, coeffs)
     return inner_product(space, f, section)

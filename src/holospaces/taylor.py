@@ -87,24 +87,6 @@ class TaylorSeries(Record):
         set_field(self, "dimension", dimension)
         set_field(self, "coefficients", {q: clean[q] for q in canonical_order(clean)})
 
-    @classmethod
-    def _from_valid(cls, dimension: int, coefficients: dict) -> TaylorSeries:
-        """A series from nonzero complex coefficients whose keys are
-        exponent tuples of length ``dimension`` already validated and already
-        in canonical order, taken as they are.
-
-        ``split`` and ``derivative`` derive their keys from a valid series,
-        and ``monomial`` validates its index itself, so the checks of
-        ``__init__`` would only repeat themselves.  Their order holds too: a
-        filter keeps the canonical order, and so does subtracting one q from
-        every key, which lowers each degree by |q| and keeps the parts'
-        lexicographic order.
-        """
-        series = object.__new__(cls)
-        set_field(series, "dimension", dimension)
-        set_field(series, "coefficients", coefficients)
-        return series
-
     @property
     def max_degree(self) -> int:
         """Largest total degree with a nonzero coefficient; -1 for the zero series."""
@@ -128,12 +110,13 @@ class TaylorSeries(Record):
             raise ValueError(f"split order must be >= 0, got {m}")
         low = {p: a for p, a in self.coefficients.items() if sum(p) < m}
         high = {p: a for p, a in self.coefficients.items() if sum(p) >= m}
-        return self._from_valid(self.dimension, low), self._from_valid(self.dimension, high)
+        return TaylorSeries(self.dimension, low), TaylorSeries(self.dimension, high)
 
     def derivative(self, q) -> TaylorSeries:
         """Mixed partial of multi-order q; term a_p z^p maps to a_p p!/(p-q)! z^(p-q).
 
-        Terms with any exponent below q vanish.
+        Terms with any exponent below q vanish.  A coefficient beyond the
+        float range is a ValueError, as in the constructor.
         """
         qt = mi.as_multiindex(q)
         if len(qt) != self.dimension:
@@ -147,15 +130,24 @@ class TaylorSeries(Record):
             factor = 1
             for pj, qj in zip(p, qt):
                 factor *= math.perm(pj, qj)
-            # a nonzero coefficient times a positive integer stays nonzero
-            out[tuple(pj - qj for pj, qj in zip(p, qt))] = a * factor
-        return self._from_valid(self.dimension, out)
+            key = tuple(pj - qj for pj, qj in zip(p, qt))
+            try:
+                out[key] = a * factor
+            except OverflowError:  # the integer factor is beyond the float range
+                raise ValueError(
+                    f"coefficient of index {key} is not finite: {a} * p!/(p-q)! overflows"
+                ) from None
+        return TaylorSeries(self.dimension, out)
 
 
 def monomial(p) -> TaylorSeries:
     """The series z^p with unit coefficient."""
     q = mi.as_multiindex(p)
-    return TaylorSeries._from_valid(len(q), {q: 1.0 + 0j})
+    # one validated key with coefficient 1 meets every invariant of __init__
+    series = object.__new__(TaylorSeries)
+    set_field(series, "dimension", len(q))
+    set_field(series, "coefficients", {q: 1.0 + 0j})
+    return series
 
 
 def zero(dimension: int) -> TaylorSeries:

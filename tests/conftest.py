@@ -5,6 +5,31 @@ from holospaces import multiindex as mi
 from holospaces.taylor import TaylorSeries
 
 
+class RunningSum:
+    """Streaming Neumaier sum of real or complex terms, per component, whose
+    ``value`` may be read after every term (the reference loops do)."""
+
+    def __init__(self):
+        self._re = self._im = (0.0, 0.0)
+
+    @staticmethod
+    def _add(part, x):
+        s, c = part
+        t = s + x
+        if abs(s) >= abs(x):
+            return t, c + ((s - t) + x)
+        return t, c + ((x - t) + s)
+
+    def add(self, x):
+        self._re = self._add(self._re, x.real)
+        self._im = self._add(self._im, x.imag)
+
+    @property
+    def value(self) -> complex:
+        (re_s, re_c), (im_s, im_c) = self._re, self._im
+        return complex(re_s + re_c, im_s + im_c)
+
+
 def random_polynomial(rng, n, max_degree, density=1.0, scale=1.0):
     """Dense-ish random polynomial with standard-normal complex coefficients."""
     coeffs = {}

@@ -152,6 +152,27 @@ def test_reproduce_random_polynomial(nu):
     assert abs(bargmann.reproduce(space, f, w) - expected) <= 1e-10 * abs(expected)
 
 
+@pytest.mark.parametrize("nu, f, w, p", [
+    # ||z||^2 = 3.1e-310 is subnormal, so conj(w)/||z||^2 leaves the float range
+    (1e155, TaylorSeries(1, {(1,): 1.0}), (0.9,), r"\(1,\)"),
+    # w^p itself overflows at a far point
+    (1.0, TaylorSeries(1, {(2,): 1.0}), (1e200,), r"\(2,\)"),
+], ids=["subnormal-norm", "far-point"])
+def test_reproduce_overflowing_section_coefficient_is_domain_error(nu, f, w, p):
+    space = bargmann.BargmannDirichletSpace(1, nu, 0)
+    message = r"section coefficient conj\(w\^p\)/\|\|z\^p\|\|\^2 at p = " + p
+    with pytest.raises(DomainError, match=message):
+        bargmann.reproduce(space, f, w)
+
+
+@pytest.mark.parametrize("m, t", [(120, 2.0), (3, 1e300)], ids=["factorial", "power"])
+def test_closed_kernel_with_an_overflowing_degree_m_term_is_a_domain_error(m, t):
+    # t^m/(m!)^2, the coefficient of the pFq factor, leaves the float range
+    space = bargmann.BargmannDirichletSpace(1, 1.0, m)
+    with pytest.raises(DomainError, match=f"term {m} has a modulus beyond the float range"):
+        bargmann.kernel_closed_detail(space, t)
+
+
 def test_reproduce_monomial():
     space = bargmann.BargmannDirichletSpace(n=2, nu=1.0, m=1)
     w = (1.2 - 0.4j, 0.8 + 1.1j)

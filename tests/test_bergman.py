@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point, random_polynomial
+from conftest import RunningSum, random_point, random_polynomial
 from holospaces import bergman, spaces
 from holospaces.errors import DomainError
 from holospaces.hypergeo import gamma_ratio
-from holospaces.taylor import TaylorSeries, monomial, zero
+from holospaces.taylor import TaylorSeries, monomial, vector_norm, zero
 
 
 def test_space_validation():
@@ -249,6 +249,31 @@ def test_pointwise_bound_coarse_variant():
         bergman.pointwise_bound_coarse(
             bergman.BergmanDirichletSpace(n=2, alpha=0.5, m=2, radius=2.0), z
         )
+
+
+def _reference_coarse(space, z):
+    """The displayed constant from its own recurrence loop over degrees below m."""
+    r = vector_norm(z)
+    a3 = space.alpha + space.n + 1.0
+    acc = RunningSum()
+    term = 1.0
+    for k in range(space.m):
+        acc.add(term)
+        term = term * ((a3 + k) / (k + 1)) * r
+    acc.add((1.0 - r * r) ** (-a3))
+    return space.kernel_prefactor() * acc.value.real
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_pointwise_bound_coarse_is_its_recurrence_loop_bit_for_bit(m):
+    rng = np.random.default_rng(20 + m)
+    for n, alpha in [(1, -0.5), (2, 0.5), (3, 7.25), (2, 40.0)]:
+        space = bergman.BergmanDirichletSpace(n=n, alpha=alpha, m=m)
+        for r in (0.0, 1e-3, 0.3, 0.75, 0.9, 0.99):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            z = tuple(complex(c) for c in v * (r / np.linalg.norm(v)))
+            expected = repr(_reference_coarse(space, z))
+            assert repr(bergman.pointwise_bound_coarse(space, z)) == expected
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

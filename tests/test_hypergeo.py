@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pfq_reference
+from conftest import RunningSum, pfq_reference
 from holospaces import hypergeo
 from holospaces.errors import DivergenceError, DomainError, NonconvergenceError
 from holospaces.hypergeo import (
-    CompensatedSum,
-    ComplexCompensatedSum,
     HypergeometricSpec,
     SeriesResult,
+    compensated_sum,
     eval_pfq,
     gamma_ratio,
     limit_3f2_to_2f2_error,
@@ -26,10 +25,43 @@ from holospaces.hypergeo import (
 
 
 def test_compensated_sum_beats_naive():
-    acc = CompensatedSum()
-    for x in [1e16, 1.0, -1e16]:
-        acc.add(x)
-    assert acc.value == 1.0
+    assert 1e16 + 1.0 - 1e16 != 1.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([1e16j, 1.0 + 1j, -1e16j]) == 1.0 + 1j
+
+
+def _streamed(values):
+    acc = RunningSum()
+    for v in values:
+        acc.add(v)
+    return acc.value
+
+
+def _summands():
+    rng = random.Random(20153)
+    real = [rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(200)]
+    # large terms that cancel, leaving the small ones to the compensation
+    big = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.randint(14, 18) for _ in range(50)]
+    cancelling = [*big, *(-b for b in reversed(big))]
+    cancelling[50:50] = [rng.uniform(-1.0, 1.0) for _ in range(20)]
+    mixed = [complex(rng.gauss(0.0, 1e8), rng.gauss(0.0, 1e-8)) for _ in range(100)]
+    signed_zeros = [-0.0, complex(-0.0, -0.0), -0.0]
+    return {
+        "empty": [], "real": real, "cancelling": cancelling,
+        "complex": [complex(a, b) for a, b in zip(real, reversed(real))],
+        "complex-cancelling": [complex(a, -b) for a, b in zip(cancelling, reversed(cancelling))],
+        "mixed": mixed, "real-and-complex": [*real[:50], *mixed[:50]],
+        "signed-zeros": signed_zeros, "overflow": [1e308, 1e308, -1e308],
+    }
+
+
+@pytest.mark.parametrize("name", list(_summands()))
+def test_compensated_sum_is_the_streaming_sum_bit_for_bit(name):
+    values = _summands()[name]
+    expected = repr(_streamed(values))
+    assert repr(compensated_sum(values)) == expected
+    assert repr(compensated_sum(v for v in values)) == expected
+    assert repr(compensated_sum(tuple(values))) == expected
 
 
 @pytest.mark.parametrize(
@@ -215,7 +247,7 @@ def test_limit_3f2_to_2f2_monotone_decrease():
 
 
 def _reference_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
-    """The straightforward term loop: accumulator objects and inner ratio loops."""
+    """The straightforward term loop: a streaming accumulator and inner ratio loops."""
     z = complex(z)
     num = spec.numerator_params
     den = spec.denominator_params
@@ -223,7 +255,7 @@ def _reference_eval_pfq(spec, z, tol=1e-14, max_terms=10000):
         raise DivergenceError(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
-    acc = ComplexCompensatedSum()
+    acc = RunningSum()
     term = 1 + 0j
     acc.add(term)
     terms_used = 1

@@ -10,10 +10,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_point, random_polynomial
+from conftest import RunningSum, random_point, random_polynomial
 from holospaces import _ball_integral, bargmann, bergman, spaces
 from holospaces.errors import DomainError, NonconvergenceError
-from holospaces.hypergeo import ComplexCompensatedSum, HypergeometricSpec, eval_pfq
+from holospaces.hypergeo import HypergeometricSpec, eval_pfq
 from holospaces.taylor import inner
 
 FAMILIES = [
@@ -47,7 +47,7 @@ def test_non_finite_space_parameter_is_a_domain_error(make, name, value):
 
 
 def _reference_series_with_tail(space, t, max_degree):
-    """The straightforward degree loop: a ``_step`` closure and accumulator objects."""
+    """The straightforward degree loop: a ``_step`` closure and a streaming accumulator."""
     t = complex(t)
     x = space.series_argument(t)
     if space.pfq_extra:
@@ -60,7 +60,7 @@ def _reference_series_with_tail(space, t, max_degree):
         def step(term, j, num, den):
             return term * x * num / den
     m = space.m
-    acc = ComplexCompensatedSum()
+    acc = RunningSum()
     term = 1 + 0j
     last = 1.0
     for k in range(min(m, max_degree + 1)):
@@ -82,7 +82,7 @@ def _reference_closed_detail(space, t):
     """The closed kernel with its low part sum_{k<m} c_k summed by the ``_step`` loop."""
     t = complex(t)
     x = space.series_argument(t)
-    low = ComplexCompensatedSum()
+    low = RunningSum()
     term = 1 + 0j
     for k in range(space.m):
         low.add(term)

@@ -162,6 +162,14 @@ def test_constructor_validation():
             TaylorSeries(2, {(0, 0): 1.0, (1, 0): value})
 
 
+def test_derivative_beyond_the_float_range_is_a_value_error():
+    # 1e300 * 20!/10! and 300!/150! both leave the float range
+    with pytest.raises(ValueError, match=r"coefficient of index \(10,\) is not finite"):
+        TaylorSeries(1, {(20,): 1e300}).derivative((10,))
+    with pytest.raises(ValueError, match=r"coefficient of index \(150,\) is not finite"):
+        monomial((300,)).derivative((150,))
+
+
 def test_every_construction_stores_keys_in_canonical_order():
     rng = np.random.default_rng(19)
     keys = [p for k in range(6) for p in mi.enumerate_indices(3, k)]
