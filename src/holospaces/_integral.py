@@ -1,16 +1,19 @@
-"""The ball kernel's 3F2 factor near |x| = 1 as a fixed 225-node integral.
+"""The kernel's pFq factor of order m as a fixed 225-node integral.
 
-With a = alpha+n+1 and m >= 1, the high part of the ball kernel is
+With m >= 1 and B_0 the m = 0 bracket, (1 - y)^(-a) on the ball (a =
+alpha+n+1) and e^y on the plane, the high part of the kernel is
 
-    t^m/(m!)^2 * 3F2(1, 1, a; m+1, m+1; x) = t^m * int_0^1 P_m(s) (1 - x s)^(-a) ds,
+    t^m/(m!)^2 * pFq(1, 1, *extra; m+1, m+1; x) = t^m * int_0^1 P_m(s) B_0(x s) ds,
 
 where P_m(s) = sum_i s^(i-1) (A_i - B_i log s) is the inverse Mellin transform
 of 1/((j+1)_m)^2, with A_i, B_i its exact partial fractions: expanding
-(1 - x s)^(-a) and integrating term by term gives the 3F2 series.  The series
-needs about 32/(1 - |x|) terms; the integral takes a fixed tanh-sinh rule
-(Takahasi and Mori, 1974) at any |x| < 1.  ``spaces.kernel_closed_detail``
-imports this module only when it needs it, so that a process that never
-evaluates a kernel near |x| = 1 does not compile it.
+B_0(x s) and integrating term by term gives the 3F2 series on the ball and
+the 2F2 series on the plane.  Those need about 32/(1 - |x|) and |x| terms;
+the integral takes a fixed tanh-sinh rule (Takahasi and Mori, 1974) at any
+|x| < 1 on the ball and any |x| up to a few hundred on the plane.
+``spaces.kernel_closed_detail`` imports this module only when it needs it,
+so that a process that never evaluates a long kernel series does not
+compile it.
 """
 
 from __future__ import annotations
@@ -135,22 +138,28 @@ def rule(m: int) -> tuple:
     return tuple(map(tuple, groups))
 
 
-def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
-    """3F2(1, 1, a; m+1, m+1; x) as (m!)^2 int_0^1 P_m(s) (1 - x s)^(-a) ds.
+def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | None:
+    """pFq(1, 1, *extra; m+1, m+1; x) as (m!)^2 int_0^1 P_m(s) B_0(x s) ds.
 
-    The integral is the tanh-sinh rule of ``rule``: a fixed 225 nodes at
-    any |x| < 1.  1 - x s is formed as (1 - x) + x r, exact to rounding
-    however small r.  The error estimate comes from the same nodes.  With
-    the sums S1, S2, S3 at steps 4h, 2h and h, and the logs
-    d1 = log(|S3 - S2|/|S3|) and d2 = log(|S3 - S1|/|S3|) of their relative
-    gaps, it is |S3| e^max(d1^2/d2, 2 d1) (Bailey's rule for a rule whose
-    correct digits double as h halves), plus h max |w_k f_k| over the two
-    end nodes k = +-112 for the range cut at |tau| = 3.5 (Bailey's end-point
-    term), plus 4 eps sum |w_k f_k| for rounding.  Near s = 1, where
+    ``extra`` is the space's ``pfq_extra``: (a,) on the ball, whose bracket
+    (1 - x s)^(-a) is formed as ((1 - x) + x r)^(-a), exact to rounding
+    however small r, and () on the plane, whose e^(x s) is e^(x - x r).  The
+    integral is the tanh-sinh rule of ``rule``: a fixed 225 nodes at any x.
+    The error estimate comes from the same nodes.  With the sums S1, S2, S3
+    at steps 4h, 2h and h, and the logs d1 = log(|S3 - S2|/|S3|) and
+    d2 = log(|S3 - S1|/|S3|) of their relative gaps, it is
+    |S3| e^max(d1^2/d2, 2 d1) (Bailey's rule for a rule whose correct
+    digits double as h halves), plus h max |w_k f_k| over the two end nodes
+    k = +-112 for the range cut at |tau| = 3.5 (Bailey's end-point term),
+    plus 4 eps sum |w_k f_k| for rounding.  Near s = 1 on the ball, where
     w P_m = O(r^(2m)) and 1 - x s is near 1 - x once r < |1 - x|, the
     end-point term is about 3.3 m times the integral over r < r_min = 2.7e-23
     that the rule leaves out; it matters only for |1 - x| within a few
-    powers of ten of 2^-53.
+    powers of ten of 2^-53.  On the plane the exponent x s is rounded by
+    about |x| eps, which e^(x s) turns into a relative error: the record
+    adds h |x| eps sum |w_k f_k| to the estimate once it has met tol, as
+    the test against tol would otherwise decline every call past |x| = 40
+    at tol = 1e-14.
 
     Bailey's rule assumes the three sums are already converging.  Where the
     4h sum is more than 1 % off (``UNRESOLVED``), as when a large a packs
@@ -159,13 +168,16 @@ def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
     rule puts the error at 1e-6 and the value is off by 100 %.  Such a call
     declines at any tol.
 
-    Returns the record (value, 225, estimate) of the 3F2, or None when the
+    Returns the record (value, 225, estimate) of the pFq, or None when the
     value is not finite, a node overflows, the rule is unresolved, or the
     estimate exceeds tol |value| (an integrand oscillating at large
-    a |arg(1 - x s)|, or a tol below what the rule resolves): the caller
-    then sums the series.
+    a |arg(1 - x s)| or |Im x|, or a tol below what the rule resolves): the
+    caller then sums the series.
     """
-    one_minus_x = 1.0 - x
+    if extra:
+        (a,) = extra
+        one_minus_x = 1.0 - x
+    exp = cmath.exp
     groups = rule(m)
     nodes = groups[0]  # k = -112 first and k = 112 last
     sums = []
@@ -174,11 +186,12 @@ def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
         for group in groups:
             acc = 0j
             for r, wp in group:
-                f = wp * (one_minus_x + x * r) ** -a
+                f = wp * ((one_minus_x + x * r) ** -a if extra else exp(x - x * r))
                 acc += f
                 size += abs(f)
             sums.append(acc)
-        ends = max(abs(wp * (one_minus_x + x * r) ** -a) for r, wp in (nodes[0], nodes[-1]))
+        ends = max(abs(wp * ((one_minus_x + x * r) ** -a if extra else exp(x - x * r)))
+                   for r, wp in (nodes[0], nodes[-1]))
     except OverflowError:
         return None
     coarse = sums[0] * (4.0 * STEP)
@@ -200,5 +213,7 @@ def high_part(a: float, m: int, x: complex, tol: float) -> SeriesResult | None:
     estimate = discretization * abs(value) + (ends + 4.0 * _EPS * size) * STEP
     if not estimate <= tol * abs(value):
         return None
+    if not extra:
+        estimate += abs(x) * _EPS * size * STEP
     scale = math.factorial(m) ** 2
     return SeriesResult(scale * value, 2 * HALF_WIDTH + 1, scale * estimate)

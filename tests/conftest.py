@@ -1,5 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
+import pytest
 
 from holospaces import multiindex as mi
 from holospaces.taylor import TaylorSeries
@@ -28,6 +32,21 @@ class RunningSum:
     def value(self) -> complex:
         (re_s, re_c), (im_s, im_c) = self._re, self._im
         return complex(re_s + re_c, im_s + im_c)
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """``perfbench/oracle.py``, the mpmath kernel references of the benchmark.
+
+    Its import sets mpmath's working precision to 40 digits; that is undone
+    here, and the references are taken under ``mp.workdps(40)``.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    with mp.workdps(mp.mp.dps):
+        spec.loader.exec_module(module)
+    return module
 
 
 def random_polynomial(rng, n, max_degree, density=1.0, scale=1.0):

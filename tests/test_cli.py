@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from holospaces.cli import main
@@ -225,6 +226,22 @@ def test_sweep_zero_error_leaves_ratio_empty(capsys):
     rows = _csv_rows(out)
     assert [r["error_ratio"] for r in rows] == [""] * 3
     assert [float(r["abs_error"]) == 0.0 for r in rows] == [False, True, True]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sweep_flat_limit_at_large_nu_t(capsys, oracle, m):
+    # at nu t = -100 the 2F2 series cancels and K_inf read -4.9e23 at m = 1;
+    # the order-m integral gives it to a few eps.  K_R stays on the ball series
+    code, out, _ = _run(
+        capsys,
+        ["sweep", "--nu", "1", "--m", str(m), "--n", "1", "--t=-100", "--radii", "20,100,1000"],
+    )
+    assert code == 0
+    with mp.workdps(40):
+        reference = complex(oracle.fock_kernel(1, 1.0, m, mp.mpc(-100)))
+    for row in _csv_rows(out):
+        limit = complex(float(row["Re(K_inf)"]), float(row["Im(K_inf)"]))
+        assert abs(limit - reference) <= 1e-13 * abs(reference), (m, row)
 
 
 @pytest.mark.parametrize("argv, message", [

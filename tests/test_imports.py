@@ -22,6 +22,7 @@ STDLIB_COMMANDS = {
     "kernel-ball": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.3,0.1"],
     "kernel-ball-edge": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.999"],
     "kernel-fock": ["kernel", "--space", "fock", "--nu", "1", "--m", "2", "--z", "0.5,1j", "--w", "1,0"],
+    "kernel-fock-long": ["kernel", "--space", "fock", "--n", "2", "--nu", "1", "--m", "2", "--t", "120"],
     "kernel-series": ["kernel", "--space", "fock", "--nu", "1", "--t", "2", "--method", "series"],
     "norms": ["norms", "--space", "ball", "--alpha", "0", "--m", "1", "--max-total-degree", "3"],
     "sweep": ["sweep", "--nu", "1", "--m", "1", "--t", "0.5", "--radii", "10,100"],
@@ -89,21 +90,30 @@ print(json.dumps(report))
 
 
 def test_ball_integral_loads_late_and_without_rational_arithmetic():
-    # the integral module is compiled only by a process that evaluates a ball
-    # kernel near |x| = 1; fractions imports decimal, about 4 ms of start-up,
-    # so the integral's coefficients are built in integers
+    # the integral module is compiled only by a process that evaluates a long
+    # kernel series, on the ball near |x| = 1 or on the plane at large |x|;
+    # fractions imports decimal, about 4 ms of start-up, so the integral's
+    # coefficients are built in integers.  Each command starts without the
+    # module, so that each one shows whether it loads it
     script = f"""
 import contextlib, io, json, sys
 
-LATE = ("holospaces._ball_integral", "fractions", "decimal")
+LATE = ("holospaces._integral", "fractions", "decimal")
 import holospaces, holospaces.cli
 report = {{"import": [m for m in LATE if m in sys.modules]}}
-with contextlib.redirect_stdout(io.StringIO()):
-    report["code"] = holospaces.cli.main({STDLIB_COMMANDS["kernel-ball-edge"]!r})
-report["kernel"] = [m for m in LATE if m in sys.modules]
+for name, argv in {STDLIB_COMMANDS!r}.items():
+    sys.modules.pop("holospaces._integral", None)
+    vars(holospaces).pop("_integral", None)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = holospaces.cli.main(argv)
+    report[name] = [code] + [m for m in LATE if m in sys.modules]
 print(json.dumps(report))
 """
-    assert _run(script) == {"import": [], "code": 0, "kernel": ["holospaces._ball_integral"]}
+    long = ("kernel-ball-edge", "kernel-fock-long")
+    assert _run(script) == {
+        "import": [],
+        **{name: [0, "holospaces._integral"] if name in long else [0] for name in STDLIB_COMMANDS},
+    }
 
 
 def test_verify_suites_run_without_scipy():
