@@ -11,10 +11,11 @@ x = nu t and no extra parameter on the plane (2F2).  The flat limit
 alpha = nu R^2, R -> infinity, turns the first into the second.
 
 Long series, about 32/(1 - |x|) terms on the ball near |x| = 1 and |x|
-on the plane, give way to a fixed 225-node integral of either bracket
-(``_integral``) where, for m <= 4, they would run past the 150 terms that
-cost as much (``_integral_radius``); the series is summed only where the
-integral does not meet its tolerance.
+on the plane, give way to a tanh-sinh integral of either bracket
+(``_integral``) where, for m <= 4, they would run past 150 terms
+(``_integral_radius``).  The integral stops at 113 nodes where their own
+error estimate meets the tolerance, and takes all 225 otherwise; the series
+is summed only where it does not meet its tolerance at all.
 
 A space supplies what differs (see ``Space``); everything here is generic,
 down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
@@ -115,7 +116,9 @@ def _degree_terms(space: Space, t: complex, x: complex, max_degree: int) -> list
     c -> c * (a + j) * (j + 1) / k^2 * x with j = k - 1 - m; the factor
     (a + ...) is absent on the plane.  Each family keeps the multiply order
     it was first written in, so that its values stay the same to the last
-    bit.  A degree-m term beyond the float range is a DomainError.
+    bit.  Where t^m or (m!)^2 (from m = 99 on) leaves the float range, the
+    degree-m term is the product of t/j^2 over j = 1..m instead; if that
+    is not finite either, it is a DomainError.
     """
     extra = space.pfq_extra
     if extra:
@@ -128,10 +131,14 @@ def _degree_terms(space: Space, t: complex, x: complex, max_degree: int) -> list
             mfact = math.factorial(m)
             try:
                 term = t**m / (mfact * mfact)
-            except OverflowError as exc:
-                raise DomainError(
-                    f"kernel series term {k} has a modulus beyond the float range"
-                ) from exc
+            except OverflowError:  # t^m, or (m!)^2 from m = 99 on, as a float
+                term = 1 + 0j
+                for j in range(1, m + 1):
+                    term = term * t / (j * j)
+                if not cmath.isfinite(term):
+                    raise DomainError(
+                        f"kernel series term {k} has a modulus beyond the float range"
+                    ) from None
         elif k:
             if k < m:
                 j, num, den = k - 1, 1, k
@@ -177,8 +184,10 @@ def _integral_radius(extra: tuple, m: int, tol: float) -> float:
 
     That is where term 150 of pFq(1, 1, *extra; m+1, m+1; x),
     (a)_N N!/((m+1)_N)^2 |x|^N with (a)_N absent on the plane, reaches tol,
-    so that ``eval_pfq`` would run past it: warm, the 225 nodes cost
-    46-160 us and a series term 0.5-0.9 us.  Past its peak the term falls
+    so that ``eval_pfq`` would run past it.  Warm, a series term costs
+    0.5-0.9 us, and the integral 50-60 us at 225 nodes, or 28-39 us where
+    it stops at 113; whether it stops is known only once those 113 are
+    summed, so the radius is priced at 225.  Past its peak the term falls
     like N^(a-1-2m) |x|^N, and the stop rule compares terms with the
     partial sum, not with 1, so the length is over-estimated where the sum
     is large, which only sends long series to the integral sooner.  The
@@ -275,9 +284,10 @@ def kernel_closed_detail(
     For m >= 1 the record is that of the pFq factor, and ``tol`` must be
     positive and ``max_terms`` >= 1 (ValueError).  The one choice of form:
     where |x| exceeds ``_integral_radius`` (m <= 4, a series predicted to
-    run past 150 terms) the factor is first taken from a fixed 225-node
-    integral of the space's bracket (``_integral.high_part``), whose record
-    holds 225 and its error estimate; ``max_terms`` does not bound it.
+    run past 150 terms) the factor is first taken from a tanh-sinh integral
+    of the space's bracket (``_integral.high_part``), whose record holds its
+    node count, 113 where it stops at step 2h or 225, and its error
+    estimate; ``max_terms`` does not bound it.
     Where that integral declines, and everywhere else, the record is
     ``eval_pfq``'s.  m = 0 is elementary and evaluated in closed form (see
     ``_kernel_order_zero``), where ``tol`` and ``max_terms`` play no part.

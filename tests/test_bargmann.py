@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -165,10 +166,20 @@ def test_reproduce_overflowing_section_coefficient_is_domain_error(nu, f, w, p):
         bargmann.reproduce(space, f, w)
 
 
-@pytest.mark.parametrize("m, t", [(120, 2.0), (3, 1e300)], ids=["factorial", "power"])
-def test_closed_kernel_with_an_overflowing_degree_m_term_is_a_domain_error(m, t):
-    # t^m/(m!)^2, the coefficient of the pFq factor, leaves the float range
+@pytest.mark.parametrize("m, t, finite", [
+    (120, 2.0, True), (99, 200.0, True), (150, 5.0, True), (3, 1e300, False),
+], ids=["factorial", "factorial-99", "factorial-150", "power"])
+def test_closed_kernel_with_an_overflowing_degree_m_term_is_a_domain_error(oracle, m, t, finite):
+    # t^m/(m!)^2, the coefficient of the pFq factor, overflows as written:
+    # (m!)^2 from m = 99 on, where the product of t/j^2 factors is finite
+    # (K = e^2/pi at m = 120, t = 2), and t^m at t = 1e300, where it is not
     space = bargmann.BargmannDirichletSpace(1, 1.0, m)
+    if finite:
+        value, _ = bargmann.kernel_closed_detail(space, t)
+        with mp.workdps(40):
+            reference = oracle.fock_kernel(space.n, space.nu, m, mp.mpf(t))
+        assert abs(value - reference) <= 1e-14 * abs(reference)
+        return
     with pytest.raises(DomainError, match=f"term {m} has a modulus beyond the float range"):
         bargmann.kernel_closed_detail(space, t)
 

@@ -23,6 +23,9 @@ STDLIB_COMMANDS = {
     "kernel-ball-edge": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.999"],
     "kernel-fock": ["kernel", "--space", "fock", "--nu", "1", "--m", "2", "--z", "0.5,1j", "--w", "1,0"],
     "kernel-fock-long": ["kernel", "--space", "fock", "--n", "2", "--nu", "1", "--m", "2", "--t", "120"],
+    # (m!)^2 leaves the float range from m = 99; past m = 4 the series is summed
+    "kernel-fock-high-order": ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--m", "120",
+                               "--t", "2"],
     "kernel-series": ["kernel", "--space", "fock", "--nu", "1", "--t", "2", "--method", "series"],
     "norms": ["norms", "--space", "ball", "--alpha", "0", "--m", "1", "--max-total-degree", "3"],
     "sweep": ["sweep", "--nu", "1", "--m", "1", "--t", "0.5", "--radii", "10,100"],
