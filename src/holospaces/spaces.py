@@ -226,6 +226,17 @@ def _log1m(x: complex) -> complex:
     return complex(modulus, math.atan2(-xi, 1.0 - xr))
 
 
+def _prefactor(space: Space) -> float:
+    """The space's kernel prefactor; DomainError unless it is a normal float."""
+    try:
+        prefactor = space.kernel_prefactor()
+    except (OverflowError, ZeroDivisionError) as exc:  # R^(2n) or (nu/pi)^n beyond the float range
+        raise DomainError(f"kernel prefactor of {space} is outside the normal float range") from exc
+    if not _NORMAL_MIN <= prefactor < math.inf:
+        raise DomainError(f"kernel prefactor {prefactor:.6g} is outside the normal float range")
+    return prefactor
+
+
 def _kernel_order_zero(space: Space, x: complex) -> tuple[complex, SeriesResult]:
     """The m = 0 kernel prefactor * pFq(1, 1, *extra; 1, 1; x) in closed form.
 
@@ -241,10 +252,7 @@ def _kernel_order_zero(space: Space, x: complex) -> tuple[complex, SeriesResult]
     factors of the prefactor, and kappa = |a x/(1 - x)| on the ball and |x|
     on the plane is the sensitivity of E to the rounding of x.
     """
-    prefactor = space.kernel_prefactor()
-    if not _NORMAL_MIN <= prefactor < math.inf:
-        raise DomainError(f"kernel prefactor {prefactor:.6g} is outside the normal float range")
-    log_prefactor = math.log(prefactor)
+    log_prefactor = math.log(_prefactor(space))
     if space.pfq_extra:
         (a,) = space.pfq_extra
         core = -a * _log1m(x)
@@ -266,8 +274,9 @@ def _kernel_order_zero(space: Space, x: complex) -> tuple[complex, SeriesResult]
 
 
 def _with_prefactor(space: Space, bracket: complex, x: complex) -> complex:
-    """prefactor * bracket; DomainError when overflowing parts make it inf or NaN."""
-    value = space.kernel_prefactor() * bracket
+    """prefactor * bracket; DomainError when the prefactor is not a normal
+    float (``_prefactor``) or overflowing parts make the product inf or NaN."""
+    value = _prefactor(space) * bracket
     if not cmath.isfinite(value):
         raise DomainError(f"the kernel at pFq argument x = {x} is not a finite float ({value})")
     return value

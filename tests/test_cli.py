@@ -305,6 +305,29 @@ def test_non_finite_kernel_exits_2(capsys, method):
     assert err.startswith("error: ") and "not a finite float" in err
 
 
+_BALL_FAR = ["--space", "ball", "--n", "2", "--alpha", "0.5", "--m", "1", "--radius", "1e200"]
+_FOCK_FLAT = ["--space", "fock", "--n", "3", "--nu", "1e-110", "--m", "1", "--t", "1e100"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_BALL_FAR, "--t", "0.5"],
+    [*_BALL_FAR, "--t", "0.5", "--method", "series"],
+    ["--space", "ball", "--n", "2", "--alpha", "0.5", "--m", "0", "--radius", "1e-100",
+     "--t", "1e-201"],
+    _FOCK_FLAT,
+    [*_FOCK_FLAT, "--method", "series"],
+], ids=["ball-r2n-overflows", "ball-r2n-overflows-series", "ball-r2n-underflows",
+        "fock-underflows", "fock-underflows-series"])
+def test_kernel_prefactor_beyond_float_range_exits_2(capsys, argv):
+    # R^(2n) overflows or underflows to 0, or (nu/pi)^n underflows to 0, on
+    # the closed and the series route alike.  At the fock cell mpmath's
+    # K = 3.2252e-232 is a normal float; the prefactor is not
+    code, out, err = _run(capsys, ["kernel", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: kernel prefactor") and "outside the normal float range" in err
+
+
 @pytest.mark.parametrize("argv, flag, least, got", [
     (["verify", "--suite", "norms", "--degree-cap", "-1"], "--degree-cap", 0, -1),
     (["verify", "--suite", "sobolev", "--degree-cap", "-1"], "--degree-cap", 0, -1),
