@@ -18,6 +18,7 @@ from . import bargmann, bergman
 from ._record import Record, set_field
 from .errors import DomainError
 from .hypergeo import _limit_3f2_to_2f2_errors
+from .spaces import _prefactor
 from .taylor import inner
 
 
@@ -47,8 +48,9 @@ def prefactor_ratio(nu: float, radius: float, n: int) -> float:
     """Kernel prefactor Gamma(nu R^2+n+1) / (pi^n R^(2n) Gamma(nu R^2+1)).
 
     Converges to (nu/pi)^n as R -> infinity, with deviation O(1/R^2).
+    A prefactor outside the normal float range raises DomainError.
     """
-    return scaled_space(nu, radius, n, 0).kernel_prefactor()
+    return _prefactor(scaled_space(nu, radius, n, 0))
 
 
 def convergence_sweep(

@@ -40,6 +40,7 @@ from .hypergeo import compensated_sum, pochhammer
 from .spaces import (  # noqa: F401  (shared algorithms, bound under the family's names)
     DEFAULT_SERIES_DEGREE,
     _degree_terms,
+    _prefactor,
     function_norm_sq,
     inner_product,
     kernel_closed,
@@ -124,7 +125,8 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
     Only stated on the unit ball:
     (1/pi^n) Gamma(alpha+n+1)/Gamma(alpha+1) *
         (sum_{k<m} (alpha+n+1)_k |z|^k / k! + (1-|z|^2)^-(alpha+n+1)).
-    A constant beyond the float range raises DomainError.
+    A prefactor outside the normal float range, or a constant beyond the
+    float range, raises DomainError.
     """
     if space.radius != 1.0:
         raise ValueError("the displayed evaluation constant is stated on the unit ball only")
@@ -141,7 +143,7 @@ def pointwise_bound_coarse(space: BergmanDirichletSpace, z) -> float:
     # the kernel's low-degree terms at t = x = r; complex terms with imaginary
     # part 0 leave every bit of the real sum as real terms would
     low = _degree_terms(space, r, r, space.m - 1)
-    value = space.kernel_prefactor() * compensated_sum([*low, tail]).real
+    value = _prefactor(space) * compensated_sum([*low, tail]).real
     if not math.isfinite(value):
         raise DomainError(f"the evaluation constant at |z| = {r:.6g} is not finite ({value})")
     return value

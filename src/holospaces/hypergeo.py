@@ -20,6 +20,7 @@ product.
 from __future__ import annotations
 
 import cmath
+import math
 from array import array
 from functools import lru_cache, partial
 from itertools import chain, count, islice
@@ -59,13 +60,17 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 class HypergeometricSpec(Record):
-    """Parameter lists (a1..aP; b1..bQ) of a pFq series."""
+    """Parameter lists (a1..aP; b1..bQ) of a pFq series; each is finite."""
 
     _fields = ("numerator_params", "denominator_params")
 
     def __init__(self, numerator_params: tuple, denominator_params: tuple):
         num = tuple(float(a) for a in numerator_params)
         den = tuple(float(b) for b in denominator_params)
+        for kind, params in (("numerator", num), ("denominator", den)):
+            for a in params:
+                if not math.isfinite(a):
+                    raise DomainError(f"{kind} parameter {a} is not finite; series undefined")
         for b in den:
             if _is_nonpositive_integer(b):
                 raise DomainError(
@@ -170,7 +175,8 @@ def eval_pfq(
     term or the partial sum has finite parts but a modulus beyond the float
     range, and NonconvergenceError (carrying the partial result) if the stop
     rule is not met within ``max_terms`` terms (DomainError if the partial
-    sum is then no longer finite).  A ``tol`` that is not positive, NaN
+    sum is then no longer finite).  A ``z`` that is not finite is a
+    DomainError before any term, and a ``tol`` that is not positive, NaN
     included, is a ValueError.
 
     One loop serves every shape.  It steps t_{k+1} = t_k * c_k * z with the
@@ -202,6 +208,8 @@ def eval_pfq(
         raise DivergenceError(
             f"series with P = Q + 1 diverges for |z| >= 1 (got |z| = {abs(z):.6g})"
         )
+    if not cmath.isfinite(z):
+        raise DomainError(f"pFq argument z = {z} is not finite")
 
     # c_0, c_1, ... block by block: the loop takes the budget's max_terms - 1
     # multipliers, and an estimate at its last term reads the next one
@@ -284,8 +292,8 @@ def _limit_3f2_to_2f2_errors(b, c, d, e, a, z, xs, tol, max_terms):
     target does not depend on x: it is summed once, after the first 3F2."""
     target = None
     for x in xs:
-        if x <= 0:
-            raise DomainError(f"x must be positive, got {x}")
+        if not 0 < x < math.inf:
+            raise DomainError(f"x must be positive and finite, got {x}")
         f3 = eval_pfq(HypergeometricSpec((b, c, x + a), (d, e)), complex(z) / x, tol, max_terms)
         if target is None:
             target = eval_pfq(HypergeometricSpec((b, c), (d, e)), z, tol, max_terms).value

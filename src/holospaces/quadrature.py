@@ -30,15 +30,18 @@ so no factor 2^(alpha+1) is formed and the rule holds to alpha ~ 1e200.
 The recurrence is run through the bidiagonal factor L of the Jacobi matrix
 J = L L^T, which keeps nodes near 0 accurate relative to their size.
 
-Integrands are vectorized: a callable mapping an (npts, n) complex array of
-points to an (npts,) array of values.
+Integrands of ``integrate_*`` are vectorized: a callable mapping an
+(npts, n) complex array of points to an (npts,) array of values.  The
+weights, the points and the sphere rule are one tensor product, radial x
+sphere u x torus angles (``_tensor_weights``, ``_tensor_points``).
 
-Series integrands (``SeriesProduct``) are integrated by sum factorization
-(Orszag, J. Comput. Phys. 37, 1980), with no value at any point.  The grid
-is a tensor product over the (t, u) nodes and the angles, so a monomial pair
-z^p conj(z^q) sums to A[p+q] T[p-q] at unit scale: A[j] sums the (t, u) node
-weights times |z_1|^j_1 |z_2|^j_2, and T[k] is the product over coordinates of
-w_theta sum_theta e^{i k_i theta} (``series_tables``).  The order-m product
+Inner products of two series (``sobolev_inner_quadrature``) are summed by
+sum factorization (Orszag, J. Comput. Phys. 37, 1980) from the grid's
+tables, with no value at any point.  As the grid is a tensor product over
+the (t, u) nodes and the angles, a monomial pair z^p conj(z^q) sums to
+A[p+q] T[p-q] at unit scale: A[j] sums the (t, u) node weights times
+|z_1|^j_1 |z_2|^j_2, and T[k] is the product over coordinates of w_theta
+sum_theta e^{i k_i theta} (``series_tables``).  The order-m product
 pairs the parts below degree m plainly and the rest as sum_{|r|=m} (m!/r!)
 <d^r f, d^r g>, d^r z^p = perm(p, r) z^{p-r} (0 unless r <= p), so on the
 monomials of degree <= capacity it is one Gram table, 0 across the blocks:
@@ -154,6 +157,32 @@ def _torus(count: int):
     return np.exp(1j * theta), 2.0 * np.pi / count
 
 
+def _tensor_weights(radial: np.ndarray, u_weights: np.ndarray | None, count: int) -> np.ndarray:
+    """Flat weights of the rule radial x (sphere u, when given) x torus
+    angles, ``count`` per angle; the sphere measure is (du/2) dth1 dth2."""
+    w_theta = _torus(count)[1]
+    if u_weights is None:
+        return (radial[:, None] * np.full(count, w_theta)[None, :]).reshape(-1)
+    return (
+        radial[:, None, None, None]
+        * (0.5 * u_weights)[None, :, None, None]
+        * np.full((count, count), w_theta * w_theta)[None, None, :, :]
+    ).reshape(-1)
+
+
+def _tensor_points(tt: np.ndarray, u_nodes: np.ndarray | None, count: int) -> np.ndarray:
+    """Flat (npts, n) points matching ``_tensor_weights``: |z|^2 = t, and
+    |z1|^2 = t u, |z2|^2 = t (1 - u) on the sphere."""
+    phase = _torus(count)[0]
+    if u_nodes is None:
+        return (np.sqrt(tt)[:, None] * phase[None, :]).reshape(-1, 1)
+    r1 = np.sqrt(tt[:, None] * u_nodes[None, :])  # |z1| over (t, u)
+    r2 = np.sqrt(tt[:, None] * (1.0 - u_nodes)[None, :])
+    return np.stack(np.broadcast_arrays(r1[:, :, None, None] * phase[None, None, :, None],
+                                        r2[:, :, None, None] * phase[None, None, None, :]),
+                    axis=-1).reshape(-1, 2)
+
+
 class QuadratureGrid(Record):
     """Precomputed tensor-product rule on the unit ball or the Gaussian plane.
 
@@ -210,20 +239,9 @@ class QuadratureGrid(Record):
         n_rad = n_u = capacity // 2 + 2
         m_theta = 2 * capacity + 1
         tt, wt = radial_rule(n_rad)
-        w_theta = _torus(m_theta)[1]
+        u_nodes, u_weights = _sphere_rule(n_u) if n == 2 else (None, None)
         # Jacobian in t: the measure contributes t^(n-1) dt / 2 after t = r^2.
-        radial_factor = 0.5 * wt * tt ** (n - 1)
-        if n == 1:
-            wgt = (radial_factor[:, None] * np.full(m_theta, w_theta)[None, :]).reshape(-1)
-            u_nodes = u_weights = None
-        else:
-            u_nodes, u_weights = _sphere_rule(n_u)
-            # sphere measure: dsigma = (du/2) dth1 dth2
-            wgt = (
-                radial_factor[:, None, None, None]
-                * (0.5 * u_weights)[None, :, None, None]
-                * np.full((m_theta, m_theta), w_theta * w_theta)[None, None, :, :]
-            ).reshape(-1)
+        wgt = _tensor_weights(0.5 * wt * tt ** (n - 1), u_weights, m_theta)
         return cls(
             kind=kind,
             n=n,
@@ -240,21 +258,11 @@ class QuadratureGrid(Record):
     @property
     def points(self) -> np.ndarray:
         """The flattened (npts, n) unit-scale points, matching ``weights``,
-        built on first use and kept by the grid: only a plain callable is
-        evaluated at them, never a series product."""
+        built on first use and kept by the grid: only a callable integrand
+        is evaluated at them, never a series pair."""
         tables = self._tables
         if "points" not in tables:
-            tt, phase = self.radial_nodes, _torus(self.theta_count)[0]
-            if self.n == 1:
-                tables["points"] = (np.sqrt(tt)[:, None] * phase[None, :]).reshape(-1, 1)
-            else:
-                uu = self.u_nodes
-                r1 = np.sqrt(tt[:, None] * uu[None, :])  # |z1| over (t, u)
-                r2 = np.sqrt(tt[:, None] * (1.0 - uu)[None, :])
-                shape = (len(tt), len(uu), self.theta_count, self.theta_count)
-                z1 = np.broadcast_to(r1[:, :, None, None] * phase[None, None, :, None], shape)
-                z2 = np.broadcast_to(r2[:, :, None, None] * phase[None, None, None, :], shape)
-                tables["points"] = np.stack([z1, z2], axis=-1).reshape(-1, 2)
+            tables["points"] = _tensor_points(self.radial_nodes, self.u_nodes, self.theta_count)
         return tables["points"]
 
     def series_tables(self):
@@ -353,12 +361,38 @@ def _check_capacity(grid: QuadratureGrid, degree) -> None:
         )
 
 
-def _rule_sum(integrand, grid: QuadratureGrid, scale: float) -> complex:
-    """The grid's unit-scale rule applied to ``integrand`` at the points
-    times ``scale``; a series product is summed from the grid's tables."""
-    if isinstance(integrand, SeriesProduct):
-        return integrand.rule_sum(grid, scale)
-    return np.sum(grid.weights * np.asarray(integrand(scale * grid.points)))
+def _ball_measure(n: int, alpha: float, grid: QuadratureGrid, radius: float):
+    """(scale, factor) of the radius-R ball against (1-|z/R|^2)^alpha on
+    ``grid``: the points scale by R and the measure by R^(2n)."""
+    if grid.kind != "ball" or grid.n != n:
+        raise ValueError(f"grid is for kind={grid.kind}, n={grid.n}; requested ball n={n}")
+    if grid.alpha != alpha:
+        raise ValueError(f"grid was built for alpha={grid.alpha}, requested alpha={alpha}")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
+    return radius, radius ** (2 * n)
+
+
+def _gaussian_measure(n: int, nu: float, grid: QuadratureGrid):
+    """(scale, factor) of C^n against exp(-nu |z|^2) on ``grid``: the points
+    scale by nu^(-1/2) and the measure by nu^(-n)."""
+    if grid.kind != "gaussian" or grid.n != n:
+        raise ValueError(f"grid is for kind={grid.kind}, n={grid.n}; requested gaussian n={n}")
+    if not nu > 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
+    return 1.0 / math.sqrt(nu), nu ** (-n)
+
+
+def _integrate(measure, integrand, grid: QuadratureGrid, degree) -> complex:
+    """factor * the grid's unit-scale rule applied to ``integrand`` at the
+    points times scale, for ``(scale, factor) = measure``."""
+    scale, factor = measure
+    _check_capacity(grid, degree)
+    return complex(factor * np.sum(grid.weights * np.asarray(integrand(scale * grid.points))))
 
 
 def integrate_ball(
@@ -375,16 +409,7 @@ def integrate_ball(
     values.  ``degree`` (total holomorphic degree of the polynomial content)
     is advisory and validated against the grid capacity.
     """
-    if grid.kind != "ball" or grid.n != n:
-        raise ValueError(f"grid is for kind={grid.kind}, n={grid.n}; requested ball n={n}")
-    if grid.alpha != alpha:
-        raise ValueError(f"grid was built for alpha={grid.alpha}, requested alpha={alpha}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
-    _check_capacity(grid, degree)
-    return complex(radius ** (2 * n) * _rule_sum(integrand, grid, radius))
+    return _integrate(_ball_measure(n, alpha, grid, radius), integrand, grid, degree)
 
 
 def integrate_gaussian(
@@ -395,32 +420,18 @@ def integrate_gaussian(
     degree=None,
 ) -> complex:
     """Integral of ``integrand`` over C^n against exp(-nu |z|^2)."""
-    if grid.kind != "gaussian" or grid.n != n:
-        raise ValueError(f"grid is for kind={grid.kind}, n={grid.n}; requested gaussian n={n}")
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if not math.isfinite(nu):
-        raise ValueError(f"nu must be finite, got {nu}")
-    _check_capacity(grid, degree)
-    return complex(nu ** (-n) * _rule_sum(integrand, grid, 1.0 / math.sqrt(nu)))
+    return _integrate(_gaussian_measure(n, nu, grid), integrand, grid, degree)
 
 
 def integrate_sphere(integrand, grid: QuadratureGrid) -> complex:
-    """Integral over the unit sphere S^3 in C^2 against its area measure."""
+    """Integral over the unit sphere S^3 in C^2 against its area measure:
+    the grid's sphere and angles at the single radius t = 1, of weight 1."""
     if grid.n != 2:
         raise ValueError("sphere integration is defined for n = 2 grids")
-    m_theta = grid.theta_count
-    phase, w_theta = _torus(m_theta)
-    uu, wu = grid.u_nodes, grid.u_weights
-    xi1 = np.sqrt(uu)[:, None, None] * phase[None, :, None]
-    xi2 = np.sqrt(1.0 - uu)[:, None, None] * phase[None, None, :]
-    pts = np.stack([np.broadcast_to(xi1, (len(uu), m_theta, m_theta)),
-                    np.broadcast_to(xi2, (len(uu), m_theta, m_theta))], axis=-1).reshape(-1, 2)
-    wgt = (
-        (0.5 * wu)[:, None, None] * np.full((m_theta, m_theta), w_theta * w_theta)[None, :, :]
-    ).reshape(-1)
-    values = np.asarray(integrand(pts))
-    return complex(np.sum(wgt * values))
+    one = np.ones(1)
+    points = _tensor_points(one, grid.u_nodes, grid.theta_count)
+    return complex(np.sum(_tensor_weights(one, grid.u_weights, grid.theta_count)
+                          * np.asarray(integrand(points))))
 
 
 def evaluate_series(f: TaylorSeries, points) -> np.ndarray:
@@ -446,62 +457,26 @@ def _terms(f: TaylorSeries, index: dict, powers: list, scale: float):
             np.array([a * scale ** powers[i] for i, a in rows], dtype=complex))
 
 
-class SeriesProduct:
-    """The order-m inner product integrand of two series, f * conj(g) at m = 0.
-
-    ``integrate_ball`` and ``integrate_gaussian`` sum it from the grid's Gram
-    table (``rule_sum``); at m = 0 it can also be evaluated at an (npts, n)
-    point array, as ``integrate_sphere`` does.
-    """
-
-    def __init__(self, f: TaylorSeries, g: TaylorSeries, m: int = 0):
-        self.f, self.g, self.m = f, g, m
-
-    def __call__(self, points) -> np.ndarray:
-        if self.m:
-            raise ValueError("an order-m > 0 product is summed from the grid's tables only")
-        return evaluate_series(self.f, points) * np.conj(evaluate_series(self.g, points))
-
-    def rule_sum(self, grid: QuadratureGrid, scale: float) -> complex:
-        """The grid's unit-scale rule applied to the order-m product at
-        ``scale``: the sum over term pairs of f_p scale^{e_p}
-        conj(g_q scale^{e_q}) G_m[p, q] (see the module notes)."""
-        f, g = self.f, self.g
-        index, powers, gram = grid.sobolev_table(self.m)
-        try:
-            i, a = _terms(f, index, powers, scale)
-            j, b = (i, a) if g is f else _terms(g, index, powers, scale)
-        except KeyError:
-            # a term the table does not hold: beyond the capacity, or of another n
-            _check_capacity(grid, max(f.max_degree, g.max_degree))
-            raise ValueError(f"series of dimensions {f.dimension}, {g.dimension} "
-                             f"on a grid of n = {grid.n}") from None
-        return np.sum(a[:, None] * np.conj(b) * gram[i[:, None], j])
-
-
 @lru_cache(maxsize=64)
-def _cached_ball_grid(n: int, alpha: float, capacity: int) -> QuadratureGrid:
-    return QuadratureGrid.for_ball(n, alpha, capacity)
-
-
-@lru_cache(maxsize=8)
-def _cached_gaussian_grid(n: int, capacity: int) -> QuadratureGrid:
-    return QuadratureGrid.for_gaussian(n, capacity)
+def _cached_grid(n: int, alpha: float | None, capacity: int) -> QuadratureGrid:
+    """The ball grid of weight ``alpha``, or the Gaussian grid for None."""
+    return (QuadratureGrid.for_gaussian(n, capacity) if alpha is None
+            else QuadratureGrid.for_ball(n, alpha, capacity))
 
 
 def _rule(space):
-    """Cached grid builder (by capacity) and weighted L^2 integrator
-    ``(integrand, grid, degree=...)`` for the space's weight."""
+    """The space's grid key ``(n, alpha or None)`` for ``_cached_grid`` and
+    its measure, ``grid -> (scale, factor)`` with the grid checks."""
     if isinstance(space, bergman.BergmanDirichletSpace):
-        return (partial(_cached_ball_grid, space.n, space.alpha),
-                partial(integrate_ball, space.n, space.alpha, radius=space.radius))
-    return partial(_cached_gaussian_grid, space.n), partial(integrate_gaussian, space.n, space.nu)
+        return ((space.n, space.alpha),
+                partial(_ball_measure, space.n, space.alpha, radius=space.radius))
+    return (space.n, None), partial(_gaussian_measure, space.n, space.nu)
 
 
 def default_grid(space, capacity: int = DEFAULT_CAPACITY) -> QuadratureGrid:
     """Grid matching the space's weight; cached across calls."""
-    build_grid, _ = _rule(space)
-    return build_grid(capacity)
+    key, _ = _rule(space)
+    return _cached_grid(*key, capacity)
 
 
 def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
@@ -510,12 +485,24 @@ def sobolev_inner_quadrature(space, f: TaylorSeries, g: TaylorSeries,
 
     Low-degree parts pair in the plain weighted norm; the rest pairs through
     all order-m partials with multinomial weights m!/r!.  Both are read from
-    the grid's order-m Gram table in one sum (``SeriesProduct``).
+    the grid's order-m Gram table in one sum over term pairs: f_p c^{e_p}
+    conj(g_q c^{e_q}) G_m[p, q] at the space's scale c, times its measure
+    factor (see the module notes).  ``grid`` defaults to ``default_grid``.
     """
+    key, measure = _rule(space)
     if grid is None:
-        grid = default_grid(space)
-    _, integrate = _rule(space)  # the grid and space checks of integrate_*
-    return integrate(SeriesProduct(f, g, space.m), grid)
+        grid = _cached_grid(*key, DEFAULT_CAPACITY)
+    scale, factor = measure(grid)
+    index, powers, gram = grid.sobolev_table(space.m)
+    try:
+        i, a = _terms(f, index, powers, scale)
+        j, b = (i, a) if g is f else _terms(g, index, powers, scale)
+    except KeyError:
+        # a term the table does not hold: beyond the capacity, or of another n
+        _check_capacity(grid, max(f.max_degree, g.max_degree))
+        raise ValueError(f"series of dimensions {f.dimension}, {g.dimension} "
+                         f"on a grid of n = {grid.n}") from None
+    return complex(factor * np.sum(a[:, None] * np.conj(b) * gram[i[:, None], j]))
 
 
 def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
@@ -527,8 +514,6 @@ def verify_monomial_norm(space, p, grid: QuadratureGrid | None = None,
     """
     phi = monomial(p)
     (q,) = phi.coefficients  # p as validated by ``monomial``
-    if grid is None:
-        grid = default_grid(space)
     quad_value = sobolev_inner_quadrature(space, phi, phi, grid).real
     if formula is None:
         formula = space.monomial_norm_sq(q)
@@ -547,8 +532,6 @@ def verify_orthogonality(space, p, q, grid: QuadratureGrid | None = None) -> flo
     (pt,), (qt,) = phi.coefficients, psi.coefficients  # as validated by ``monomial``
     if pt == qt:
         raise ValueError("orthogonality check requires distinct indices")
-    if grid is None:
-        grid = default_grid(space)
     cross = sobolev_inner_quadrature(space, phi, psi, grid)
     norms = space.monomial_norm_sq(pt) * space.monomial_norm_sq(qt)
     if norms == 0.0:
@@ -561,8 +544,6 @@ def verify_orthogonality(space, p, q, grid: QuadratureGrid | None = None) -> flo
 def verify_sobolev_norm(space, f: TaylorSeries, grid: QuadratureGrid | None = None) -> float:
     """Relative gap between the defining norm integral of f and the
     coefficient-space norm."""
-    if grid is None:
-        grid = default_grid(space)
     quad_value = sobolev_inner_quadrature(space, f, f, grid).real
     formula = function_norm_sq(space, f)
     if formula == 0.0:

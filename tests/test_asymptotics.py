@@ -44,6 +44,14 @@ def test_prefactor_keeps_n_beyond_2_pow_53(n):
     assert asymptotics.prefactor_ratio(1.0, 2.0**27, n) == value.real
 
 
+@pytest.mark.parametrize("radius, n", [(1e100, 2), (2.0, 700), (1e-100, 2)],
+                         ids=["R-overflow", "pi-pow-700", "R-underflow"])
+def test_prefactor_ratio_beyond_the_float_range_is_a_domain_error(radius, n):
+    # R^(2n) overflowing or 0, and pi^700, as on every kernel path
+    with pytest.raises(DomainError, match="kernel prefactor"):
+        asymptotics.prefactor_ratio(1.0, radius, n)
+
+
 def test_sweep_at_zero_inner_product_matches_prefactor():
     radii = [5.0, 10.0, 20.0]
     records = asymptotics.convergence_sweep(1.0, 1, 2, (0.0, 0.0), (0.3, 0.1), radii)

@@ -293,6 +293,16 @@ def test_pointwise_bound_coarse_overflowing_product_is_domain_error():
     assert math.isfinite(bergman.pointwise_bound_coarse(space, (0.44, 0.1j)))
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_pointwise_bound_coarse_prefactor_beyond_the_float_range_is_a_domain_error(m):
+    # pi^700 overflows: the prefactor check of pointwise_bound, with its message
+    space = bergman.BergmanDirichletSpace(700, 0.5, m)
+    z = (0.01,) + (0.0,) * 699
+    for bound in (bergman.pointwise_bound, bergman.pointwise_bound_coarse):
+        with pytest.raises(DomainError, match="kernel prefactor of BergmanDirichletSpace"):
+            bound(space, z)
+
+
 def test_pointwise_bound_domain_guard():
     space = bergman.BergmanDirichletSpace(n=2, alpha=0.0, m=0)
     with pytest.raises(DomainError):

@@ -328,6 +328,16 @@ def test_kernel_prefactor_beyond_float_range_exits_2(capsys, argv):
     assert err.startswith("error: kernel prefactor") and "outside the normal float range" in err
 
 
+def test_fock_kernel_with_non_finite_pfq_argument_exits_2(capsys):
+    # nu t = 1e600 leaves the float range: past the integral's reach, the
+    # series names its argument instead of summing 10,000 NaN terms
+    code, out, err = _run(capsys, ["kernel", "--space", "fock", "--n", "1", "--nu", "1e300",
+                                   "--m", "1", "--t", "1e300"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: pFq argument z = (inf+0j) is not finite\n"
+
+
 @pytest.mark.parametrize("argv, flag, least, got", [
     (["verify", "--suite", "norms", "--degree-cap", "-1"], "--degree-cap", 0, -1),
     (["verify", "--suite", "sobolev", "--degree-cap", "-1"], "--degree-cap", 0, -1),

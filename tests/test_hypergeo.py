@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RunningSum, pfq_reference
-from holospaces import hypergeo
+from holospaces import bargmann, hypergeo
 from holospaces.errors import DivergenceError, DomainError, NonconvergenceError
 from holospaces.hypergeo import (
     HypergeometricSpec,
@@ -120,6 +120,28 @@ def test_gamma_ratio_rejects_noninteger_or_far_offset():
                  (1025.5, 0.5), (0.5, 1025.5), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
         with pytest.raises(DomainError):
             gamma_ratio(a, b)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eval_pfq(HypergeometricSpec((1.0,), (2.0,)), math.nan),
+     r"pFq argument z = \(nan\+0j\) is not finite"),
+    (lambda: eval_pfq(HypergeometricSpec((1.0,), (2.0,)), complex(0.5, math.inf)),
+     r"pFq argument z = \(0\.5\+infj\) is not finite"),
+    (lambda: HypergeometricSpec((1.0, math.nan), (2.0,)), "numerator parameter nan is not finite"),
+    (lambda: HypergeometricSpec((1.0,), (-math.inf,)), "denominator parameter -inf is not finite"),
+    (lambda: limit_3f2_to_2f2_error(1, 1, 3, 3, 3, 0.5, math.inf),
+     "x must be positive and finite, got inf"),
+    (lambda: limit_3f2_to_2f2_error(1, 1, 3, 3, 3, 0.5, math.nan),
+     "x must be positive and finite, got nan"),
+    (lambda: bargmann.kernel_closed_detail(bargmann.BargmannDirichletSpace(1, 1e300, 1), 1e300),
+     r"pFq argument z = \(inf\+0j\) is not finite"),
+], ids=["z-nan", "z-inf-imag", "num-nan", "den-minus-inf", "x-inf", "x-nan", "fock-nu-t-inf"])
+def test_non_finite_pfq_input_is_a_domain_error_before_any_term(call, message):
+    # no 10,000-term sum of NaN: the call raises before it reads a multiplier
+    reads = hypergeo._multipliers.cache_info()[:2]  # (hits, misses)
+    with pytest.raises(DomainError, match=message):
+        call()
+    assert hypergeo._multipliers.cache_info()[:2] == reads
 
 
 def test_gamma_ratio_domain():

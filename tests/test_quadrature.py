@@ -175,14 +175,16 @@ def test_grid_validation(ball_grid_a0, gauss_grid):
 
 
 def test_finer_grid_leaves_exact_results_unchanged(ball_grid_a0, gauss_grid):
-    f = quadrature.SeriesProduct(monomial((3, 2)), monomial((3, 2)))
+    f, g = monomial((3, 2)), monomial((3, 2))
+    ball = bergman.BergmanDirichletSpace(2, 0.0, 0)
     fine = quadrature.QuadratureGrid.for_ball(2, 0.0, capacity=20)
-    base = quadrature.integrate_ball(2, 0.0, f, ball_grid_a0, degree=5)
-    refined = quadrature.integrate_ball(2, 0.0, f, fine, degree=5)
+    base = quadrature.sobolev_inner_quadrature(ball, f, g, ball_grid_a0)
+    refined = quadrature.sobolev_inner_quadrature(ball, f, g, fine)
     assert abs(base - refined) <= 1e-12 * abs(base)
+    fock = bargmann.BargmannDirichletSpace(2, 1.0, 0)
     gfine = quadrature.QuadratureGrid.for_gaussian(2, capacity=20)
-    gbase = quadrature.integrate_gaussian(2, 1.0, f, gauss_grid, degree=5)
-    grefined = quadrature.integrate_gaussian(2, 1.0, f, gfine, degree=5)
+    gbase = quadrature.sobolev_inner_quadrature(fock, f, g, gauss_grid)
+    grefined = quadrature.sobolev_inner_quadrature(fock, f, g, gfine)
     assert abs(gbase - grefined) <= 1e-12 * abs(gbase)
 
 
@@ -245,14 +247,7 @@ def test_cross_measure_consistency():
         space = bergman.BergmanDirichletSpace(n=2, alpha=alpha, m=0, radius=radius)
         for k in range(5):
             for p in [(k, 0), (k // 2, k - k // 2)]:
-                integral = quadrature.integrate_ball(
-                    2,
-                    alpha,
-                    quadrature.SeriesProduct(monomial(p), monomial(p)),
-                    grid,
-                    radius=radius,
-                    degree=k,
-                )
+                integral = quadrature.sobolev_inner_quadrature(space, monomial(p), monomial(p), grid)
                 closed = bergman.monomial_norm_sq(space, p)
                 assert integral.real == pytest.approx(closed, rel=1e-8)
 
@@ -293,16 +288,20 @@ def _evaluated_once(evaluate):
     return at
 
 
-def _reference_integral(space, f, g, grid, at):
-    """The weighted integral before the power tables: f * conj(g) on the
-    scaled point array (a plain callable takes that path of integrate_*),
-    each series' values given by ``at(f, points)``."""
-    integrand = lambda pts: at(f, pts) * np.conj(at(g, pts))
-    degree = max(f.max_degree, g.max_degree, 0)
+def _integral(space, integrand, grid, degree=None):
+    """The space's weighted integral of a callable ``integrand`` on the
+    scaled point array, by ``integrate_ball`` or ``integrate_gaussian``."""
     if grid.kind == "ball":
         return quadrature.integrate_ball(space.n, space.alpha, integrand, grid,
                                          radius=space.radius, degree=degree)
     return quadrature.integrate_gaussian(space.n, space.nu, integrand, grid, degree=degree)
+
+
+def _reference_integral(space, f, g, grid, at):
+    """The weighted integral before the power tables: f * conj(g) on the
+    scaled point array, each series' values given by ``at(f, points)``."""
+    integrand = lambda pts: at(f, pts) * np.conj(at(g, pts))
+    return _integral(space, integrand, grid, degree=max(f.max_degree, g.max_degree, 0))
 
 
 def _pairs(n, capacity, seed):
@@ -340,11 +339,7 @@ def _modulus_integral(space, f, g, grid, at):
     """S = sum |f_p| |g_q| quad(|z^p| |z^q|), on the scaled point array: the
     size of the terms either route rounds; ``at(f, points)`` gives the
     moduli's values."""
-    integrand = lambda pts: at(f, abs(pts)) * at(g, abs(pts))
-    if grid.kind == "ball":
-        return quadrature.integrate_ball(space.n, space.alpha, integrand, grid,
-                                         radius=space.radius).real
-    return quadrature.integrate_gaussian(space.n, space.nu, integrand, grid).real
+    return _integral(space, lambda pts: at(f, abs(pts)) * at(g, abs(pts)), grid).real
 
 
 # The factorized and pointwise sums of one rule differ by rounding only:
@@ -370,11 +365,10 @@ def test_factorized_integrals_match_pointwise_rule(kind, capacity, n):
     eps = np.finfo(float).eps
     tables = grid.series_tables()
     for space in spaces:
-        _, integrate = quadrature._rule(space)
         # each series, and its moduli, evaluated once at this scale's points
         values, moduli = _evaluated_once(_reference_evaluate), _evaluated_once(_moduli_at)
         for f, g in pairs:
-            got = integrate(quadrature.SeriesProduct(f, g), grid)
+            got = quadrature.sobolev_inner_quadrature(space, f, g, grid)
             gap = abs(got - _reference_integral(space, f, g, grid, values))
             size = _modulus_integral(space, f, g, grid, moduli)
             assert gap <= SERIES_GAP * eps * size, (space, f, g)
@@ -389,7 +383,6 @@ def _derivative_route(space, pairs, grid):
     S_m, the same weighted sum of the integrals of ``_modulus_integral``.
     Each part of a series is evaluated once, not once per pair."""
     m = space.m
-    _, integrate = quadrature._rule(space)
     values, sizes = [0j] * len(pairs), [0.0] * len(pairs)
     for r in [None, *mi.enumerate_indices(space.n, m)]:
         weight = 1 if r is None else math.factorial(m) // mi.multifactorial(r)
@@ -409,8 +402,9 @@ def _derivative_route(space, pairs, grid):
 
         for k, (f, g) in enumerate(pairs):
             if parts[id(f)].coefficients and parts[id(g)].coefficients:
-                values[k] += weight * integrate(lambda pts: at(f, pts) * np.conj(at(g, pts)), grid)
-                sizes[k] += weight * integrate(lambda pts: at(f, abs(pts)) * at(g, abs(pts)),
+                values[k] += weight * _integral(space, lambda pts: at(f, pts) * np.conj(at(g, pts)),
+                                                grid)
+                sizes[k] += weight * _integral(space, lambda pts: at(f, abs(pts)) * at(g, abs(pts)),
                                                grid).real
     return values, sizes
 
@@ -562,8 +556,6 @@ def test_sobolev_product_keeps_the_grid_checks():
         quadrature.verify_monomial_norm(ball, (7, 0), gaussian)
     with pytest.raises(ValueError, match="dimensions 3, 2"):
         quadrature.sobolev_inner_quadrature(fock, monomial((1, 0, 0)), phi, gaussian)
-    with pytest.raises(ValueError, match="summed from the grid's tables"):
-        quadrature.integrate_sphere(quadrature.SeriesProduct(phi, psi, 1), gaussian)
     # the CLI's exit 2 on norms that underflow is pinned in test_cli.py
 
 
@@ -589,10 +581,10 @@ def test_verify_index_messages(index, message):
 
 
 def test_series_product_beyond_capacity_is_a_capacity_error(ball_grid_a0):
-    # the advisory degree may be left out; the tables cover the capacity only
-    f = quadrature.SeriesProduct(monomial((11, 0)), monomial((0, 0)))
+    # no degree is declared; the tables cover the capacity only
+    space = bergman.BergmanDirichletSpace(2, 0.0, 0)
     with pytest.raises(CapacityError):
-        quadrature.integrate_ball(2, 0.0, f, ball_grid_a0)
+        quadrature.sobolev_inner_quadrature(space, monomial((11, 0)), monomial((0, 0)), ball_grid_a0)
 
 
 def test_series_integral_allocates_no_point_array():
@@ -635,3 +627,58 @@ def test_quadrature_grid_is_frozen_with_identity_equality():
         "theta_count=3, weights=array([0.89383902, 0.89383902, 0.89383902, 0.15335853, "
         "0.15335853,\n       0.15335853]))"
     )
+
+
+def _reference_tensor(grid):
+    """(weights, points, sphere weights, sphere points) of ``grid`` by the
+    expressions each of them had before the shared tensor helpers."""
+    m_theta = grid.theta_count
+    theta = 2.0 * np.pi * np.arange(m_theta) / m_theta
+    phase, w_theta = np.exp(1j * theta), 2.0 * np.pi / m_theta
+    tt, wt = grid.radial_nodes, grid.radial_weights
+    radial_factor = 0.5 * wt * tt ** (grid.n - 1)
+    if grid.n == 1:
+        weights = (radial_factor[:, None] * np.full(m_theta, w_theta)[None, :]).reshape(-1)
+        points = (np.sqrt(tt)[:, None] * phase[None, :]).reshape(-1, 1)
+        return weights, points, None, None
+    uu, wu = grid.u_nodes, grid.u_weights
+    weights = (
+        radial_factor[:, None, None, None]
+        * (0.5 * wu)[None, :, None, None]
+        * np.full((m_theta, m_theta), w_theta * w_theta)[None, None, :, :]
+    ).reshape(-1)
+    r1 = np.sqrt(tt[:, None] * uu[None, :])
+    r2 = np.sqrt(tt[:, None] * (1.0 - uu)[None, :])
+    shape = (len(tt), len(uu), m_theta, m_theta)
+    z1 = np.broadcast_to(r1[:, :, None, None] * phase[None, None, :, None], shape)
+    z2 = np.broadcast_to(r2[:, :, None, None] * phase[None, None, None, :], shape)
+    points = np.stack([z1, z2], axis=-1).reshape(-1, 2)
+    xi1 = np.sqrt(uu)[:, None, None] * phase[None, :, None]
+    xi2 = np.sqrt(1.0 - uu)[:, None, None] * phase[None, None, :]
+    sphere_points = np.stack([np.broadcast_to(xi1, (len(uu), m_theta, m_theta)),
+                              np.broadcast_to(xi2, (len(uu), m_theta, m_theta))],
+                             axis=-1).reshape(-1, 2)
+    sphere_weights = (
+        (0.5 * wu)[:, None, None] * np.full((m_theta, m_theta), w_theta * w_theta)[None, :, :]
+    ).reshape(-1)
+    return weights, points, sphere_weights, sphere_points
+
+
+@pytest.mark.parametrize("capacity", [1, 6, 16])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["ball", "gaussian"])
+def test_tensor_rule_keeps_its_bits(kind, n, capacity):
+    # weights, points and the sphere rule come from one pair of tensor
+    # helpers; each is the old expression's array to the bit
+    grid = (quadrature.QuadratureGrid.for_ball(n, 0.5, capacity) if kind == "ball"
+            else quadrature.QuadratureGrid.for_gaussian(n, capacity))
+    weights, points, sphere_weights, sphere_points = _reference_tensor(grid)
+    assert np.array_equal(grid.weights, weights)
+    assert grid.points.shape == points.shape and np.array_equal(grid.points, points)
+    if n == 1:
+        return
+    for p in [(0, 0), (1, 0), (2, 1), (3, 3), (capacity, 0)]:
+        integrand = lambda pts, p=p: np.abs(pts[:, 0] ** p[0] * pts[:, 1] ** p[1]) ** 2
+        want = complex(np.sum(sphere_weights * np.asarray(integrand(sphere_points))))
+        got = quadrature.integrate_sphere(integrand, grid)
+        assert np.array_equal(np.array([got]), np.array([want])), p
