@@ -12,8 +12,10 @@ the 2F2 series on the plane.  Those need about 32/(1 - |x|) and |x| terms;
 the integral takes a tanh-sinh rule (Takahasi and Mori, 1974) of nested
 levels at any |x| < 1 on the ball and any |x| up to a few hundred on the
 plane: its 113 nodes of even k where their own error estimate meets the
-tolerance, all 225 otherwise.  P_m has one form, its log form, evaluated
-in integers at each node once per m.
+tolerance, all 225 otherwise.  On the ball, where the integrand's mass lies
+near r = 1 - s = |1 - x|/|x|, the rule's nodes are shifted onto that scale.
+P_m has one form, its log form, evaluated in integers at each node once
+per m and shift.
 ``spaces.kernel_closed_detail`` imports this module only when it needs it,
 so that a process that never evaluates a long kernel series does not
 compile it.
@@ -36,12 +38,19 @@ EARLY_NODES = HALF_WIDTH + 1  # 113: the even k, summed at steps 8h, 4h and 2h
 # On the ball the rule stops at 2h only where |1 - x| is at least this.  On
 # the real axis near x = 1 the levels gain a few digits per halving instead
 # of doubling them, so Bailey's estimate from the 8h, 4h and 2h sums can
-# miss the error.  Of 1,296 2h stops drawn near x = 1 without this bound
-# (a up to 30, tol from 1e-14 to 1e-6), the 3 outside their estimate, by
-# 2.2-40 times, were real x at |1 - x| = 4.3e-5 ... 3.5e-4, as are four
-# cells at 7.3e-8 ... 1.3e-5 (2.1-569 times, tests/test_spaces.py); the 933
-# from |1 - x| = 1e-3 on were within 0.45 of it.
+# miss the error.  Of 1,296 2h stops of the unshifted rule drawn near
+# x = 1 without this bound (a up to 30, tol from 1e-14 to 1e-6), the 3
+# outside their estimate, by 2.2-40 times, were real x at |1 - x| =
+# 4.3e-5 ... 3.5e-4, as are four cells at 7.3e-8 ... 1.3e-5 (2.1-569
+# times, tests/test_spaces.py); the 933 from |1 - x| = 1e-3 on were within
+# 0.45 of it.
 _EARLY_MIN_GAP = 1e-3
+# The largest shift of ``rule``.  A shift j ends the rule at s = e^-(52 - j)
+# instead of 2.6e-23.  The s-mass it leaves out below that node is 0.63 of
+# the node's end-point term h |w P_m|, at any j, and that term grows like
+# e^j: at j = 12 it is 4.1e-15 of the integral of P_m at m = 4, and at
+# j = 13 it would be 1.1e-14, past tol = 1e-14 on its own.
+_MAX_SHIFT = 12
 # the relative gap between the coarsest and finest of a level's three sums
 # (4h and h, or 8h and 2h) above which the rule has not resolved the
 # integrand and that level does not stand, however loose tol is
@@ -119,18 +128,21 @@ def weight(m: int, r: float, s: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def rule(m: int) -> tuple:
+def rule(m: int, shift: int) -> tuple:
     """The tanh-sinh nodes of ``high_part`` for order m, in four groups:
     k = 0 mod 8 (the step-8h rule, from k = -112 to 112), k = 4 mod 8
     (added at 4h), k = 2 mod 4 (added at 2h) and k odd (added at h), each
     in k order.  Each node is (r, w P_m(1 - r)), with w = pi cosh(tau) s r
-    the weight of the substitution s = 1/(1 + e^(-pi sinh tau)), r = 1 - s
-    formed directly, not by subtraction, and P_m from ``weight``.
+    the weight of the substitution s = 1/(1 + e^(-u)), u = pi sinh tau +
+    shift, r = 1 - s formed directly, not by subtraction, and P_m from
+    ``weight``.  The integer ``shift`` (0 to ``_MAX_SHIFT``) translates u,
+    which leaves the rule exact on the whole line and moves its densest
+    nodes from s = 1/2 to r = 1/(1 + e^shift); shift 0 is the plain rule.
     """
     groups = ([], [], [], [])
     for k in range(-HALF_WIDTH, HALF_WIDTH + 1):
         tau = k * STEP
-        u = math.pi * math.sinh(tau)
+        u = math.pi * math.sinh(tau) + shift
         s = 1.0 / (1.0 + math.exp(-u))
         r = 1.0 / (1.0 + math.exp(u))
         w = math.pi * math.cosh(tau) * s * r
@@ -188,23 +200,39 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
     plane, and on the ball where |1 - x| >= ``_EARLY_MIN_GAP``.  Otherwise
     the h level, all 225 nodes, stands or the call declines.
 
-    The estimate's end-point term, h max |w_k f_k| over the end nodes
-    k = +-112, is on the ball about 3.3 m times the integral over
-    r < r_min = 2.7e-23 that the rule leaves out (there w P_m = O(r^(2m))
-    and 1 - x s is near 1 - x); it matters only for |1 - x| within a few
-    powers of ten of 2^-53.  Once the estimate has met tol, the record adds
-    a conditioning term kappa size step at either level: kappa = |x| eps on
-    the plane, where e^(x s) turns the rounding of x s into a relative error
-    (tested against tol, it would decline every call past |x| = 40 at
-    tol = 1e-14), and a eps on the ball, where (1 - x s)^(-a) multiplies
-    the relative rounding of its base by a.
+    On the ball with a > 2m - 1 the integrand grows like r^(2m-1-a) as r
+    falls, until r nears r0 = |1 - x|/|x|, where (1 - x s)^(-a) levels
+    off: its mass lies near r0, far from the plain rule's densest nodes at
+    r = 1/2 when x is near 1.  There the rule is ``rule(m, shift)`` with the
+    integer shift = round(log(1/r0 - 1)), clamped to 0 .. ``_MAX_SHIFT``,
+    which puts those nodes, r = 1/(1 + e^shift), on r0.  Rounding
+    log(1/r0) instead moved 3 of 48,800 seeded ball calls from 113 to 225
+    nodes or from 225 to declining, all at r0 = 0.54-0.6, and this form
+    none.  Elsewhere the shift is 0: on the ball with a <= 2m - 1 the mass
+    lies at r of order 1, and on the plane, whose e^(x s) turns within
+    r ~ 1/|x| but oscillates with Im x over all of (0, 1), the shift
+    round(log |x|) = 5 takes the 2h level at x = 150 e^(0.1i), m = 3 from
+    9.3e-15 to 1.1e-10 off.
+
+    The estimate's end-point term is h max |w_k f_k| over the end nodes
+    k = +-112.  At k = 112 it is on the ball about 3.3 m times the integral
+    over r < r_min = 2.7e-23 e^-shift that the rule leaves out (there
+    w P_m = O(r^(2m)) and 1 - x s is near 1 - x); it matters only for
+    |1 - x| within a few powers of ten of 2^-53.  At k = -112 it bounds the
+    s-mass below the node (see ``_MAX_SHIFT``).  Once the estimate has met
+    tol, the record adds a conditioning term kappa size step at either
+    level: kappa = |x| eps on the plane, where e^(x s) turns the rounding of
+    x s into a relative error (tested against tol, it would decline every
+    call past |x| = 40 at tol = 1e-14), and a eps on the ball, where
+    (1 - x s)^(-a) multiplies the relative rounding of its base by a.
 
     Bailey's rule assumes the three sums are already converging.  Where the
     coarsest sum is more than 1 % off (``UNRESOLVED``), as when a large a
-    packs the integrand's mass into a narrow peak near r = |1 - x| < 1e-10,
-    all three sums can miss it alike: at m = 4, a = 17.55, x = 1 - 5.7e-15
-    the rule puts the error at 1e-6 and the value is off by 100 %.  Such a
-    level does not stand at any tol.
+    packs the integrand's mass into a narrow peak near r = |1 - x| below
+    what the largest shift reaches, all three sums can miss it alike: at
+    m = 4, a = 17.55, x = 1 - 5.7e-15 the plain rule put the error at 1e-6
+    and the value was off by 100 %, and shifted by 12 it is still off by
+    29 powers of ten.  Such a level does not stand at any tol.
 
     Returns the record (value, 113 or 225, estimate) of the pFq, or None
     when a node or a sum overflows, or when the 225-node value is not
@@ -216,13 +244,17 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
     sums = []  # node sums of the levels at steps 8h, 4h, 2h and h, each holding the one before
     total, size, first, found = 0j, 0.0, None, None
     try:
+        shift = 0
         if extra:
             (a,) = extra
             one_minus_x = 1.0 - x
             early, kappa = abs(one_minus_x) >= _EARLY_MIN_GAP, a * _EPS
+            if a > 2 * m - 1:  # centre the nodes, r = 1/(1 + e^shift), on |1 - x|/|x|
+                ratio = abs(x) / abs(one_minus_x)
+                shift = min(_MAX_SHIFT, round(math.log(max(1.0, ratio - 1.0))))
         else:
             early, kappa = True, abs(x) * _EPS
-        for group in rule(m):
+        for group in rule(m, shift):
             part = 0j  # summed apart from the total, at the group's own scale
             for r, wp in group:
                 f = wp * ((one_minus_x + x * r) ** -a if extra else exp(x - x * r))

@@ -173,9 +173,9 @@ def eval_pfq(
     reported error estimate is the magnitude of the first neglected term.
     Raises DivergenceError when P = Q + 1 and |z| >= 1, DomainError when a
     term or the partial sum has finite parts but a modulus beyond the float
-    range, and NonconvergenceError (carrying the partial result) if the stop
-    rule is not met within ``max_terms`` terms (DomainError if the partial
-    sum is then no longer finite).  A ``z`` that is not finite is a
+    range or is not finite (at the term where that first happens), and
+    NonconvergenceError (carrying the partial result) if the stop rule is
+    not met within ``max_terms`` terms.  A ``z`` that is not finite is a
     DomainError before any term, and a ``tol`` that is not positive, NaN
     included, is a ValueError.
 
@@ -251,6 +251,11 @@ def eval_pfq(
             elif size <= tol * abs(complex(re, im)):
                 small_streak += 1
             else:
+                # a sum that is no longer finite is NaN (the compensation
+                # subtracts inf from inf), which fails both tests above
+                if not cmath.isfinite(complex(re, im)):
+                    raise DomainError(f"pFq partial sum after {k + 1} terms is not finite "
+                                      f"({complex(re, im)})")
                 small_streak = 0
         if small_streak >= _CONSECUTIVE_SMALL:  # the stop rule is met at the last term
             c = next(multipliers)
@@ -260,8 +265,6 @@ def eval_pfq(
             f"a pFq term or partial sum near term {k} has a modulus beyond the float range"
         ) from exc
     result = SeriesResult(complex(re_s + re_c, im_s + im_c), k + 1, abs(term))
-    if not cmath.isfinite(result.value):
-        raise DomainError(f"pFq partial sum after {k + 1} terms is not finite ({result.value})")
     raise NonconvergenceError(
         f"pFq stop rule not met after {k + 1} terms (|last term| = {abs(term):.3g})",
         partial=result,

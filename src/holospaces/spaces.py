@@ -15,7 +15,10 @@ on the plane, give way to a tanh-sinh integral of either bracket
 (``_integral``) where, for m <= 4, they would run past 150 terms
 (``_integral_radius``).  The integral stops at 113 nodes where their own
 error estimate meets the tolerance, and takes all 225 otherwise; the series
-is summed only where it does not meet its tolerance at all.
+is summed only where it does not meet its tolerance at all.  On the ball,
+where a > 2m - 1 puts the integrand's mass near r = 1 - s = |1 - x|/|x|,
+the rule's nodes are shifted onto that scale; on the plane, where a shift
+measured worse, and elsewhere on the ball, they are not.
 
 A space supplies what differs (see ``Space``); everything here is generic,
 down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
@@ -185,12 +188,14 @@ def _integral_radius(extra: tuple, m: int, tol: float) -> float:
     That is where term 150 of pFq(1, 1, *extra; m+1, m+1; x),
     (a)_N N!/((m+1)_N)^2 |x|^N with (a)_N absent on the plane, reaches tol,
     so that ``eval_pfq`` would run past it.  Warm, a series term costs
-    0.5-0.9 us, and the integral 50-60 us at 225 nodes, or 28-39 us where
-    it stops at 113; whether it stops is known only once those 113 are
-    summed, so the radius is priced at 225.  Past its peak the term falls
-    like N^(a-1-2m) |x|^N, and the stop rule compares terms with the
-    partial sum, not with 1, so the length is over-estimated where the sum
-    is large, which only sends long series to the integral sooner.  The
+    0.23-0.24 us, and the integral 28-42 us at 225 nodes, or 15-18 us where
+    it stops at 113 (min of 7 timeit runs, 2-CPU x86_64, Python 3.11), so
+    150 terms cost about what 225 nodes do; whether it stops is known only
+    once those 113 are summed, so the radius is priced at 225.  Past its
+    peak the term falls like N^(a-1-2m) |x|^N, and the stop rule compares
+    terms with the partial sum, not with 1, so the length is over-estimated
+    where the sum is large, which only sends long series to the integral
+    sooner.  The
     radius is never below the float just under 0.85, so |x| = 0.85 counts,
     and is that float where log-gamma of a overflows (terms that rise
     beyond the float range).  For m > 4, past the orders at which the rule's
@@ -294,8 +299,9 @@ def kernel_closed_detail(
     positive and ``max_terms`` >= 1 (ValueError).  The one choice of form:
     where |x| exceeds ``_integral_radius`` (m <= 4, a series predicted to
     run past 150 terms) the factor is first taken from a tanh-sinh integral
-    of the space's bracket (``_integral.high_part``), whose record holds its
-    node count, 113 where it stops at step 2h or 225, and its error
+    of the space's bracket (``_integral.high_part``, with its nodes shifted
+    onto r = |1 - x|/|x| on the ball where a > 2m - 1), whose record holds
+    its node count, 113 where it stops at step 2h or 225, and its error
     estimate; ``max_terms`` does not bound it.
     Where that integral declines, and everywhere else, the record is
     ``eval_pfq``'s.  m = 0 is elementary and evaluated in closed form (see

@@ -338,6 +338,22 @@ def test_fock_kernel_with_non_finite_pfq_argument_exits_2(capsys):
     assert err == "error: pFq argument z = (inf+0j) is not finite\n"
 
 
+def test_ball_kernel_near_the_boundary_at_large_a_exits_0(capsys):
+    # the plain rule declined here and the series raised NonconvergenceError
+    # after 10,000 terms; the shifted rule takes all 225 nodes
+    code, out, err = _run(capsys, ["kernel", "--space", "ball", "--n", "1", "--alpha", "10.85",
+                                   "--m", "1", "--t", "0.99815,-0.0225"])
+    assert (code, err) == (0, "")
+    row = _csv_rows(out)[0]
+    assert row["terms_used"] == "225"
+    with mp.workdps(30):
+        alpha, t = mp.mpf(10.85), mp.mpc(0.99815, -0.0225)
+        prefactor = mp.gammaprod([alpha + 2], [alpha + 1]) / mp.pi  # n = 1, R = 1
+        reference = prefactor * (1 + t * mp.hyper([1, 1, alpha + 2], [2, 2], t, maxterms=10**6))
+    got = complex(float(row["re"]), float(row["im"]))
+    assert abs(got - complex(reference)) <= 1e-13 * abs(complex(reference))
+
+
 @pytest.mark.parametrize("argv, flag, least, got", [
     (["verify", "--suite", "norms", "--degree-cap", "-1"], "--degree-cap", 0, -1),
     (["verify", "--suite", "sobolev", "--degree-cap", "-1"], "--degree-cap", 0, -1),

@@ -144,6 +144,19 @@ def test_non_finite_pfq_input_is_a_domain_error_before_any_term(call, message):
     assert hypergeo._multipliers.cache_info()[:2] == reads
 
 
+@pytest.mark.parametrize("t, terms", [(800.0, 482), (1e300, 3)])
+def test_non_finite_sum_ends_the_series_where_it_appears(t, terms):
+    # a partial sum that overflows (at t = 800 the sum does, one term before
+    # a term does; at 1e300 the third term) ends the series with the
+    # DomainError that the exhausted budget raised after 10,000 NaN terms,
+    # and the loop has read no multiplier block past that of c_(terms - 2)
+    space = bargmann.BargmannDirichletSpace(1, 1.0, 1)
+    hypergeo._multipliers.cache_clear()
+    with pytest.raises(DomainError, match=rf"pFq partial sum after {terms} terms is not finite"):
+        bargmann.kernel_closed_from_inner(space, t)
+    assert hypergeo._multipliers.cache_info().currsize == (terms - 2) // 32 + 1
+
+
 def test_gamma_ratio_domain():
     with pytest.raises(DomainError):
         gamma_ratio(-1.0, 2.0)

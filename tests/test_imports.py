@@ -23,6 +23,9 @@ STDLIB_COMMANDS = {
     "kernel-ball-edge": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.999"],
     "kernel-fock": ["kernel", "--space", "fock", "--nu", "1", "--m", "2", "--z", "0.5,1j", "--w", "1,0"],
     "kernel-fock-long": ["kernel", "--space", "fock", "--n", "2", "--nu", "1", "--m", "2", "--t", "120"],
+    # only the shifted rule resolves this integrand, which turns within r ~ 0.02
+    "kernel-ball-shifted": ["kernel", "--space", "ball", "--n", "1", "--alpha", "10.85", "--m", "1",
+                            "--t", "0.99815,-0.0225"],
     # (m!)^2 leaves the float range from m = 99; past m = 4 the series is summed
     "kernel-fock-high-order": ["kernel", "--space", "fock", "--n", "1", "--nu", "1", "--m", "120",
                                "--t", "2"],
@@ -112,7 +115,7 @@ for name, argv in {STDLIB_COMMANDS!r}.items():
     report[name] = [code] + [m for m in LATE if m in sys.modules]
 print(json.dumps(report))
 """
-    long = ("kernel-ball-edge", "kernel-fock-long")
+    long = ("kernel-ball-edge", "kernel-fock-long", "kernel-ball-shifted")
     assert _run(script) == {
         "import": [],
         **{name: [0, "holospaces._integral"] if name in long else [0] for name in STDLIB_COMMANDS},

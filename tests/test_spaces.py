@@ -296,7 +296,7 @@ def test_ball_integral_error_within_its_estimate(oracle):
         series = _outcome(_reference_closed_detail, space, t)
         nodes.append(_integral_nodes(oracle, space, t, series))
     assert len(nodes) - nodes.count(None) >= 40
-    assert nodes.count(_integral.EARLY_NODES) >= 30
+    assert nodes.count(_integral.EARLY_NODES) >= 42  # 45 of the 55 integral calls
 
 
 def test_plane_integral_error_within_its_estimate(oracle):
@@ -330,16 +330,23 @@ def _log_form_reference(m, r, s):
         return total
 
 
-@pytest.mark.parametrize("m, every", [(1, 1), (2, 1), (3, 1), (4, 1), (16, 5)])
-def test_weight_matches_mpmath_at_the_rule_nodes(m, every):
-    # P_m from its log form in integers, at the nodes of rule(m) as it forms
-    # them, within 1.1e-16 relative: the fixed point holds the log form's
-    # cancellation, up to 2^-((2m-1) 75) at the end node r = 2.7e-23, and
-    # leaves only the one rounding.  At m = 16 the nodes are those where the
-    # 400-digit reference keeps 100 digits and P_m is a normal float
+@pytest.mark.parametrize("m, every, shift", [
+    *(pytest.param(m, every, 0, id=f"{m}-{every}")
+      for m, every in ((1, 1), (2, 1), (3, 1), (4, 1), (16, 5))),
+    *(pytest.param(m, 5, _integral._MAX_SHIFT, id=f"{m}-5-shifted") for m in range(1, 5)),
+])
+def test_weight_matches_mpmath_at_the_rule_nodes(m, every, shift):
+    # P_m from its log form in integers, at the nodes of rule(m, shift) as it
+    # forms them, within 1.1e-16 relative: the fixed point holds the log
+    # form's cancellation, up to 2^-((2m-1) 92) at the end node r = 1.6e-28
+    # of the largest shift, and leaves only the one rounding.  At m = 16 the
+    # nodes are those where the 400-digit reference keeps 100 digits and P_m
+    # is a normal float
+    nodes = dict(node for group in _integral.rule(m, shift) for node in group) if m <= 4 else {}
+    ks = range(-_integral.HALF_WIDTH, _integral.HALF_WIDTH + 1, every)
     checked = 0
-    for k in range(-_integral.HALF_WIDTH, _integral.HALF_WIDTH + 1, every):
-        u = math.pi * math.sinh(k * _integral.STEP)
+    for k in ks:
+        u = math.pi * math.sinh(k * _integral.STEP) + shift
         s = 1.0 / (1.0 + math.exp(-u))
         r = 1.0 / (1.0 + math.exp(u))
         if (2 * m - 1) * -math.log10(r) > 300:
@@ -349,8 +356,30 @@ def test_weight_matches_mpmath_at_the_rule_nodes(m, every):
             continue
         got = _integral.weight(m, r, s)
         assert abs(got - reference) <= 1.1e-16 * abs(reference), (m, k, r)
+        assert m > 4 or r in nodes, (m, k, r)
         checked += 1
-    assert checked >= (_integral.FULL_NODES if m <= 4 else 20)
+    assert checked >= (len(ks) if m <= 4 else 20)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_largest_shift_keeps_the_left_out_mass_below_the_end_point_term(m):
+    # the shifted rule ends at s = e^-(52 - shift); the integral of |P_m| below
+    # that node, where B_0(x s) is 1 to within a s, is under the end-point
+    # term h |w P_m| there, which stays below 1e-14 of int_0^1 P_m = (m!)^-2
+    # at the largest shift and, at m = 4, would pass it one shift further
+    shift = _integral._MAX_SHIFT
+    _, wp = _integral.rule(m, shift)[0][0]  # the node k = -112
+    end = _integral.STEP * abs(wp)
+    tau = -_integral.HALF_WIDTH * _integral.STEP
+    s_end = 1.0 / (1.0 + math.exp(-(math.pi * math.sinh(tau) + shift)))
+    with mp.workdps(40):
+        mass = mp.quad(lambda s: abs(_log_form_reference(m, 1.0, s)), [0, s_end])
+    assert mass <= end <= 1e-14 / math.factorial(m) ** 2
+    if m == 4:
+        u = math.pi * math.sinh(tau) + shift + 1
+        s, r = 1.0 / (1.0 + math.exp(-u)), 1.0 / (1.0 + math.exp(u))
+        further = _integral.STEP * math.pi * math.cosh(tau) * s * r * _integral.weight(m, r, s)
+        assert further > 1e-14 / math.factorial(m) ** 2
 
 
 def test_ball_integral_declines_at_the_last_float_below_one():
@@ -375,11 +404,13 @@ def test_unresolved_ball_integral_declines_at_any_tol():
     (7.095, 4, 2.15e-6), (3.296, 2, 1.27e-7), (5.077, 3, 7.27e-8), (4.973, 3, 1.31e-5),
 ])
 def test_ball_integral_near_one_on_the_real_axis_within_its_estimate(a, m, gap):
-    # here the levels gain a few digits per halving instead of doubling
-    # them: the 2h value, with Bailey's estimate from the 8h, 4h and 2h sums,
-    # is 2.1-569 times off that estimate, and the h value within it.  At 30
-    # digits mpmath's 3F2 agrees with its 60-digit value to 1e-31 here, in
-    # a fifth of the time
+    # here the levels of the unshifted rule gain a few digits per halving
+    # instead of doubling them: its 2h value, with Bailey's estimate from the
+    # 8h, 4h and 2h sums, is 2.1-569 times off that estimate, and the h
+    # value within it.  The first three cells (a > 2m - 1) now take the
+    # shifted rule, whose 2h estimate does not meet tol there; the fourth
+    # still stops at h only because |1 - x| < 1e-3.  At 30 digits mpmath's
+    # 3F2 agrees with its 60-digit value to 1e-31 here, in a fifth of the time
     x = 1.0 - gap
     record = _integral.high_part((a,), m, complex(x), 1e-14)
     with mp.workdps(30):
@@ -420,6 +451,37 @@ def test_full_ball_integral_at_large_a_within_its_estimate(a, m, x):
     with mp.workdps(30):
         reference = mp.hyp3f2(1, 1, a, m + 1, m + 1, x)
     assert abs(record.value - reference) <= record.error_estimate
+
+
+def _hyper_reference(a, m, x):
+    """pFq(1, 1, a; m+1, m+1; x) at 30 digits; near x = 1 mpmath's hyp3f2
+    raises NoConvergence where its general series routine does not."""
+    with mp.workdps(30):
+        return complex(mp.hyper([1, 1, a], [m + 1, m + 1], x, maxterms=10**6))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_ball_integral_at_loose_tol_near_one_within_its_estimate(tol):
+    # unshifted, the 225-node value at m = 2, a = 4, x = 1 - 1e-12 was
+    # 2.7e-9 off against an estimate of 8.2e-11: at loose tol Bailey's
+    # extrapolation fell short.  The shifted rule puts its nodes on
+    # r0 = 1e-12, and the value is within its estimate
+    record = _integral.high_part((4.0,), 2, complex(1.0 - 1e-12), tol)
+    assert record.terms_used == _integral.FULL_NODES
+    reference = _hyper_reference(4.0, 2, 1.0 - 1e-12)
+    assert abs(record.value - reference) <= record.error_estimate <= 1e-14 * abs(reference)
+
+
+def test_ball_kernel_past_the_plain_rule_takes_the_shifted_integral():
+    # at a = 12.85 the integrand turns within r ~ 0.02 at a small phase:
+    # the plain rule declined, and the series then raised
+    # NonconvergenceError after 10,000 terms
+    space = bergman.BergmanDirichletSpace(1, 10.85, 1)
+    x = complex(0.99815, -0.0225)
+    _, record = bergman.kernel_closed_detail(space, x)
+    assert record.terms_used == _integral.FULL_NODES
+    reference = _hyper_reference(space.pfq_extra[0], 1, x)
+    assert abs(record.value - reference) <= record.error_estimate <= 1e-13 * abs(reference)
 
 
 def test_series_length_estimate_matches_eval_pfq():
