@@ -14,6 +14,9 @@ levels at any |x| < 1 on the ball and any |x| up to a few hundred on the
 plane: its 113 nodes of even k where their own error estimate meets the
 tolerance, all 225 otherwise.  On the ball, where the integrand's mass lies
 near r = 1 - s = |1 - x|/|x|, the rule's nodes are shifted onto that scale.
+Past the 29 nodes of step 8h, each finer group is summed only between two
+cuts, beyond which a closed-form bound shows its nodes cannot move the sum
+(``_window``); the node count of a record names the level that stood.
 P_m has one form, its log form, evaluated in integers at each node once
 per m and shift.
 ``spaces.kernel_closed_detail`` imports this module only when it needs it,
@@ -25,8 +28,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
+from bisect import bisect_left, bisect_right
 
 from .hypergeo import SeriesResult
 
@@ -138,6 +143,8 @@ def rule(m: int, shift: int) -> tuple:
     ``weight``.  The integer ``shift`` (0 to ``_MAX_SHIFT``) translates u,
     which leaves the rule exact on the whole line and moves its densest
     nodes from s = 1/2 to r = 1/(1 + e^shift); shift 0 is the plain rule.
+    ``_tables`` holds, next to it, what ``high_part`` bisects to cut the
+    finer groups.
     """
     groups = ([], [], [], [])
     for k in range(-HALF_WIDTH, HALF_WIDTH + 1):
@@ -149,6 +156,92 @@ def rule(m: int, shift: int) -> tuple:
         group = groups[0 if k % 8 == 0 else 1 if k % 4 == 0 else 2 if k % 2 == 0 else 3]
         group.append((r, w * weight(m, r, s)))
     return tuple(map(tuple, groups))
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(m: int, shift: int) -> tuple:
+    """What ``_window`` bisects, from ``rule(m, shift)`` alone.
+
+    The 196 nodes of the finer groups (4h, 2h and h) in k order, so that r
+    falls: log of the sum of |w P_m| over all 225 nodes; their -r; the
+    running sums of their |w P_m| from the first node on and from the last
+    node back, each opening with 0; and, for each count of nodes taken from
+    the front or from the back, how many of them each finer group holds.
+    """
+    groups = rule(m, shift)
+    order = sorted((k, g, i) for g, step in enumerate((8, 4, 2))
+                   for i, k in enumerate(range(step // 2 - HALF_WIDTH, HALF_WIDTH, step)))
+    nodes = [groups[g + 1][i] for _, g, i in order]
+    moduli = [abs(wp) for _, wp in nodes]
+    cuts = []
+    for ks in (order, order[::-1]):
+        counts = [0, 0, 0]
+        cut = [(0, 0, 0)]
+        for _, g, _ in ks:
+            counts[g] += 1
+            cut.append(tuple(counts))
+        cuts.append(tuple(cut))
+    return (math.log(sum(abs(wp) for group in groups for _, wp in group)),
+            tuple(-r for r, _ in nodes),
+            tuple(itertools.accumulate(moduli, initial=0.0)),
+            tuple(itertools.accumulate(reversed(moduli), initial=0.0)),
+            *cuts)
+
+
+def _window(extra: tuple, m: int, shift: int, x: complex, coarse: float) -> tuple:
+    """How many nodes of each finer group of ``rule(m, shift)`` ``high_part``
+    leaves out at the front (r near 1) and at the back (r near 0), and a
+    bound on what they add to the node sums.
+
+    ``coarse`` is the modulus of the 8h group's node sum.  Each of the two
+    cuts leaves out nodes whose terms w P_m B_0 sum to at most eps coarse:
+    the sum of their |w P_m| (``_tables``) times a closed-form bound of
+    |B_0(x (1 - r))| over them.  A cut is the longer of two, each found by
+    bisection:
+
+    * the nodes where |B_0| <= level = eps coarse / sum |w P_m|, the sum
+      over the whole rule: |B_0| = e^(Re x (1 - r)) on the plane, so r on
+      the far side of 1 - log(level)/Re x, and (|x| |r - c|)^(-a) on the
+      ball, c = 1 - 1/x, so r outside c.real +- sqrt(d^2 - (Im c)^2) with
+      d = level^(-1/a)/|x|;
+    * the end nodes whose running sum of |w P_m| stays below eps coarse /
+      peak, with peak the largest |B_0| on 0 <= r <= 1.
+
+    A peak beyond the float range makes the second bisection leave out
+    nothing, and a ``coarse`` that is 0 or not finite both cuts.
+    """
+    log_total, neg_r, head, tail, head_cuts, tail_cuts = _tables(m, shift)
+    if not 0.0 < coarse < math.inf:
+        return head_cuts[0], tail_cuts[0], 0.0
+    log_budget = math.log(_EPS) + math.log(coarse)
+    log_level = log_budget - log_total
+    if extra:
+        (a,) = extra
+        c = 1.0 - 1.0 / x
+        log_d = -log_level / a - math.log(abs(x))
+        d = math.exp(log_d) if log_d < 700.0 else math.inf
+        q = d * d - c.imag * c.imag
+        half = math.sqrt(q) if q > 0.0 else 0.0
+        r_lo, r_hi = c.real - half, c.real + half
+        near = 0.0 if c.real < 0.0 else 1.0 if c.real > 1.0 else c.real  # the r closest to c
+        log_peak = -a * math.log(abs((1.0 - x) + x * near))
+    else:
+        p = x.real
+        edge = 1.0 - log_level / p if p else -math.inf
+        r_lo, r_hi = (-math.inf, edge) if p > 0.0 else (edge, math.inf)
+        log_peak = p if p > 0.0 else 0.0
+    small = math.exp(log_budget - log_peak) if log_peak < 709.0 else 0.0
+    n = len(neg_r)
+    front_a, front_b = bisect_right(neg_r, -r_hi), bisect_left(head, small) - 1
+    back_a, back_b = n - bisect_left(neg_r, -r_lo), bisect_left(tail, small) - 1
+    front = front_a if front_a >= front_b else front_b
+    back = back_a if back_a >= back_b else back_b
+    if back > n - front:  # the two cuts meet
+        back = n - front
+    level = math.exp(log_level)
+    bound = (head[front] * (level if front_a >= front_b else math.exp(log_peak))
+             + tail[back] * (level if back_a >= back_b else math.exp(log_peak)))
+    return head_cuts[front], tail_cuts[back], bound
 
 
 def _estimate(sums: list, step: float, ends: float, size: float, kappa: float,
@@ -200,6 +293,26 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
     plane, and on the ball where |1 - x| >= ``_EARLY_MIN_GAP``.  Otherwise
     the h level, all 225 nodes, stands or the call declines.
 
+    The 8h group is summed in full.  Each finer group is then summed between
+    the two cuts of ``_window``, which leave out, at either end, nodes whose
+    terms are bounded a priori by eps |S8|, S8 the 8h group's node sum: on
+    the plane at Re x > 0 the nodes with r beyond about 40/Re x, where
+    e^(x s) is negligible, and at either sign the far tails of the rule,
+    where w P_m is.  The two bounds, at most 2 eps |S8|, are added to the
+    end-point term below, so the level decisions and the ``UNRESOLVED``
+    test are those of the full rule, and what is left out stays below the
+    rounding term 4 eps size step.  ``terms_used`` still names the level
+    that stood, 113 or 225, not the nodes summed: on the ``kernels-edge``
+    benchmark (seed 1) the plane's calls sum 62-70 nodes at the 113 level
+    and 78-99 at the 225 level, and the ball's 88-102 at the 113 level.  Warm, a plane call that takes the h level costs about half of
+    what the full rule did, and a ball call about 6 % less (``timeit``,
+    ``BENCH_26.json``).  Plane calls past |x| of about 100 still take the
+    225-node level: at seed 1 their 2h values are within 1.4e-14 of the
+    225-node value on 11 of 12 calls, but their 4h sums are 5.8e-7 to
+    4e-4 off, so Bailey's estimate at 2h cannot meet 1e-14 even where the 4h
+    gap stays under ``UNRESOLVED``.  A next step there should start from
+    that estimate, not from the nodes.
+
     On the ball with a > 2m - 1 the integrand grows like r^(2m-1-a) as r
     falls, until r nears r0 = |1 - x|/|x|, where (1 - x s)^(-a) levels
     off: its mass lies near r0, far from the plain rule's densest nodes at
@@ -215,8 +328,9 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
     9.3e-15 to 1.1e-10 off.
 
     The estimate's end-point term is h max |w_k f_k| over the end nodes
-    k = +-112.  At k = 112 it is on the ball about 3.3 m times the integral
-    over r < r_min = 2.7e-23 e^-shift that the rule leaves out (there
+    k = +-112, plus h times the bound on the nodes the cuts leave out.  At
+    k = 112 the node term is on the ball about 3.3 m times the integral over
+    r < r_min = 2.7e-23 e^-shift that the rule leaves out (there
     w P_m = O(r^(2m)) and 1 - x s is near 1 - x); it matters only for
     |1 - x| within a few powers of ten of 2^-53.  At k = -112 it bounds the
     s-mass below the node (see ``_MAX_SHIFT``).  Once the estimate has met
@@ -254,7 +368,9 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
                 shift = min(_MAX_SHIFT, round(math.log(max(1.0, ratio - 1.0))))
         else:
             early, kappa = True, abs(x) * _EPS
-        for group in rule(m, shift):
+        for level, group in enumerate(rule(m, shift)):
+            if level:  # a finer group: the nodes between its two cuts
+                group = group[front[level - 1]:len(group) - back[level - 1]]
             part = 0j  # summed apart from the total, at the group's own scale
             for r, wp in group:
                 f = wp * ((one_minus_x + x * r) ** -a if extra else exp(x - x * r))
@@ -263,8 +379,9 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
                 if first is None:
                     first = f
             total += part
-            if not sums:  # the 8h group opens and closes with the end nodes k = -+112
-                ends = max(abs(first), abs(f))
+            if not level:  # the 8h group opens and closes with the end nodes k = -+112
+                front, back, skipped = _window(extra, m, shift, x, abs(total))
+                ends = max(abs(first), abs(f)) + skipped
             sums.append(total)
             if len(sums) == 4 or len(sums) == 3 and early:  # the levels at 2h and h
                 found = _estimate(sums[-3:], STEP * 2 ** (4 - len(sums)), ends, size, kappa, tol)

@@ -18,7 +18,10 @@ error estimate meets the tolerance, and takes all 225 otherwise; the series
 is summed only where it does not meet its tolerance at all.  On the ball,
 where a > 2m - 1 puts the integrand's mass near r = 1 - s = |1 - x|/|x|,
 the rule's nodes are shifted onto that scale; on the plane, where a shift
-measured worse, and elsewhere on the ball, they are not.
+measured worse, and elsewhere on the ball, they are not.  Past its 29
+coarsest nodes the rule sums only the nodes that a closed-form bound on
+the bracket does not show to be negligible, and adds that bound to its
+estimate; its node count names the level that stood, 113 or 225.
 
 A space supplies what differs (see ``Space``); everything here is generic,
 down to the evaluation bound sqrt(K(z, z)) that holds in either RKHS.
@@ -191,7 +194,10 @@ def _integral_radius(extra: tuple, m: int, tol: float) -> float:
     0.23-0.24 us, and the integral 28-42 us at 225 nodes, or 15-18 us where
     it stops at 113 (min of 7 timeit runs, 2-CPU x86_64, Python 3.11), so
     150 terms cost about what 225 nodes do; whether it stops is known only
-    once those 113 are summed, so the radius is priced at 225.  Past its
+    once those 113 are summed, so the radius is priced at 225.  Those are
+    the costs of the full rule: a plane call now sums 62-99 nodes and costs
+    about half as much where it takes the 225 level, and a ball call about
+    6 % less (``BENCH_26.json``); the radius is not re-priced.  Past its
     peak the term falls like N^(a-1-2m) |x|^N, and the stop rule compares
     terms with the partial sum, not with 1, so the length is over-estimated
     where the sum is large, which only sends long series to the integral
@@ -302,7 +308,9 @@ def kernel_closed_detail(
     of the space's bracket (``_integral.high_part``, with its nodes shifted
     onto r = |1 - x|/|x| on the ball where a > 2m - 1), whose record holds
     its node count, 113 where it stops at step 2h or 225, and its error
-    estimate; ``max_terms`` does not bound it.
+    estimate; ``max_terms`` does not bound it.  The count names the level
+    that stood, not the nodes summed, which the rule cuts where a
+    closed-form bound shows them negligible (its estimate holds that bound).
     Where that integral declines, and everywhere else, the record is
     ``eval_pfq``'s.  m = 0 is elementary and evaluated in closed form (see
     ``_kernel_order_zero``), where ``tol`` and ``max_terms`` play no part.

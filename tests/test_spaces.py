@@ -484,6 +484,90 @@ def test_ball_kernel_past_the_plain_rule_takes_the_shifted_integral():
     assert abs(record.value - reference) <= record.error_estimate <= 1e-13 * abs(reference)
 
 
+def _full_rule(extra, m, x, tol):
+    """``high_part`` summed over every node of ``_integral.rule``: the record
+    (value, 113 or 225, estimate) of the level that stands, or None."""
+    eps = sys.float_info.epsilon
+    shift = 0
+    if extra:
+        (a,) = extra
+        early, kappa = abs(1.0 - x) >= _integral._EARLY_MIN_GAP, a * eps
+        if a > 2 * m - 1:
+            ratio = abs(x) / abs(1.0 - x)
+            shift = min(_integral._MAX_SHIFT, round(math.log(max(1.0, ratio - 1.0))))
+
+        def bracket(r):
+            return ((1.0 - x) + x * r) ** -a
+    else:
+        early, kappa = True, abs(x) * eps
+
+        def bracket(r):
+            return cmath.exp(x - x * r)
+    sums, total, size = [], 0j, 0.0
+    try:
+        for level, group in enumerate(_integral.rule(m, shift)):
+            terms = [wp * bracket(r) for r, wp in group]
+            part = 0j  # each group summed apart, as ``high_part`` does
+            for f in terms:
+                part += f
+                size += abs(f)
+            total += part
+            if level == 0:
+                ends = max(abs(terms[0]), abs(terms[-1]))
+            sums.append(total)
+            if level == 3 or level == 2 and early:
+                step = _integral.STEP * 2 ** (3 - level)
+                found = _integral._estimate(sums[-3:], step, ends, size, kappa, tol)
+                if found is not None:
+                    scale = math.factorial(m) ** 2
+                    nodes = _integral.EARLY_NODES if level == 2 else _integral.FULL_NODES
+                    return scale * found[0], nodes, scale * found[1]
+    except OverflowError:
+        pass
+    return None
+
+
+def _window_cells():
+    """Seeded (extra, m, x, tol): the ball near |x| = 1 at a <= 60 and at
+    a near 1e4, where the bound on |B_0| overflows, and the plane up to
+    |x| = 300, every phase and every order the integral serves."""
+    rng = random.Random(26)
+    for i in range(1500):
+        m, tol = 1 + i % 4, 10.0 ** rng.uniform(-14.0, -6.0)
+        phase = rng.uniform(-math.pi, math.pi)
+        if i % 3 == 2:
+            yield (), m, cmath.rect(rng.uniform(45.0, 300.0), phase), tol
+        else:
+            a = rng.uniform(1.0, 60.0) if i % 15 else rng.uniform(9e3, 1.1e4)
+            size = 1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.16))
+            yield (a,), m, cmath.rect(size, phase), tol
+    # here a cut that left out the nodes whose r rounds to 1.0 (s < 1.1e-16,
+    # |w P_4| up to 3.5e-15) moved the value 7.3 times past the full rule's
+    # estimate
+    yield (), 4, complex(2.7206858900531965, -45.70652901005947), 1e-8
+
+
+def test_integral_window_matches_the_full_rule():
+    # leaving out the nodes that the closed-form bound shows cannot move the
+    # sum keeps every level decision of the full rule, and the value within
+    # the full rule's estimate
+    outcomes = set()
+    for extra, m, x, tol in _window_cells():
+        got, full = _integral.high_part(extra, m, x, tol), _full_rule(extra, m, x, tol)
+        case = (extra, m, x, tol)
+        assert (got is None) == (full is None), case
+        if full is not None:
+            value, nodes, estimate = full
+            assert got.terms_used == nodes, case
+            assert abs(got.value - value) <= estimate, case
+        outcomes.add((bool(extra), full and full[1]))
+    assert outcomes == {(ball, nodes) for ball in (True, False)
+                        for nodes in (None, _integral.EARLY_NODES, _integral.FULL_NODES)}
+    # an 8h sum so small that eps times it underflows leaves nothing out
+    assert _integral._window((1.5,), 2, 5, complex(0.999, 0.001), 5e-324) == (
+        (0, 0, 0), (0, 0, 0), 0.0)
+
+
 def test_series_length_estimate_matches_eval_pfq():
     # the integral's radius predicts whether the series outlasts 150 terms;
     # away from that length it must be right.  On the plane at phase 0 the
