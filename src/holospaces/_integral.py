@@ -304,8 +304,9 @@ def high_part(extra: tuple, m: int, x: complex, tol: float) -> SeriesResult | No
     rounding term 4 eps size step.  ``terms_used`` still names the level
     that stood, 113 or 225, not the nodes summed: on the ``kernels-edge``
     benchmark (seed 1) the plane's calls sum 62-70 nodes at the 113 level
-    and 78-99 at the 225 level, and the ball's 88-102 at the 113 level.  Warm, a plane call that takes the h level costs about half of
-    what the full rule did, and a ball call about 6 % less (``timeit``,
+    and 78-99 at the 225 level, and the ball's 88-102 at the 113 level.
+    Warm, a plane call that takes the h level costs about half of what the
+    full rule did, and a ball call about 6 % less (``timeit``,
     ``BENCH_26.json``).  Plane calls past |x| of about 100 still take the
     225-node level: at seed 1 their 2h values are within 1.4e-14 of the
     225-node value on 11 of 12 calls, but their 4h sums are 5.8e-7 to

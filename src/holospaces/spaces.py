@@ -12,10 +12,11 @@ alpha = nu R^2, R -> infinity, turns the first into the second.
 
 Long series, about 32/(1 - |x|) terms on the ball near |x| = 1 and |x|
 on the plane, give way to a tanh-sinh integral of either bracket
-(``_integral``) where, for m <= 4, they would run past 150 terms
-(``_integral_radius``).  The integral stops at 113 nodes where their own
-error estimate meets the tolerance, and takes all 225 otherwise; the series
-is summed only where it does not meet its tolerance at all.  On the ball,
+(``_integral``) where, for m <= 4, they would run past the length that
+costs what the integral does: 80 terms on the ball where a eps <= tol, 150
+elsewhere (``_integral_radius``).  The integral stops at 113 nodes where
+their own error estimate meets the tolerance, and takes all 225 otherwise;
+the series is summed only where it does not meet its tolerance at all.  On the ball,
 where a > 2m - 1 puts the integrand's mass near r = 1 - s = |1 - x|/|x|,
 the rule's nodes are shifted onto that scale; on the plane, where a shift
 measured worse, and elsewhere on the ball, they are not.  Past its 29
@@ -188,30 +189,35 @@ def _kernel_spec(extra: tuple, m: int) -> HypergeometricSpec:
 def _integral_radius(extra: tuple, m: int, tol: float) -> float:
     """The |x| beyond which the closed kernel first tries the integral.
 
-    That is where term 150 of pFq(1, 1, *extra; m+1, m+1; x),
+    That is where term N of pFq(1, 1, *extra; m+1, m+1; x),
     (a)_N N!/((m+1)_N)^2 |x|^N with (a)_N absent on the plane, reaches tol,
-    so that ``eval_pfq`` would run past it.  Warm, a series term costs
-    0.23-0.24 us, and the integral 28-42 us at 225 nodes, or 15-18 us where
-    it stops at 113 (min of 7 timeit runs, 2-CPU x86_64, Python 3.11), so
-    150 terms cost about what 225 nodes do; whether it stops is known only
-    once those 113 are summed, so the radius is priced at 225.  Those are
-    the costs of the full rule: a plane call now sums 62-99 nodes and costs
-    about half as much where it takes the 225 level, and a ball call about
-    6 % less (``BENCH_26.json``); the radius is not re-priced.  Past its
-    peak the term falls like N^(a-1-2m) |x|^N, and the stop rule compares
-    terms with the partial sum, not with 1, so the length is over-estimated
-    where the sum is large, which only sends long series to the integral
-    sooner.  The
-    radius is never below the float just under 0.85, so |x| = 0.85 counts,
-    and is that float where log-gamma of a overflows (terms that rise
-    beyond the float range).  For m > 4, past the orders at which the rule's
-    P_m is tested, it is infinite.  At tol = 1e-14 the plane's is 48.7,
-    51.6, 54.4 and 57.1 for m = 1..4.
+    so that ``eval_pfq`` would run past N terms, the length whose cost
+    matches the integral's.  On the ball, where a eps <= tol, N is 80: warm,
+    a ball series costs 0.51-0.60 us a term and the windowed integral 39-43
+    us where it stops at 113 nodes (medians of two runs over 240 calls at
+    |x| = 0.45-0.88, a <= 14, m = 1..3, of which 237 stop at 113 nodes, two
+    take 225 and one declines; timeit, 2-CPU x86_64, Python 3.11,
+    ``BENCH_27.json``), so the integral costs what 72-76 terms do, or 84-88
+    with its 225-node calls and the series of its decline.  Everywhere
+    else N is 150 and the radius is never below the float just under 0.85,
+    so |x| = 0.85 counts: on the plane a measured break-even gained
+    nothing, and where a eps > tol (flat-limit sweeps up to alpha = 1e4)
+    the integral's rounding term a eps would exceed tol, so those calls
+    keep the series, which is well conditioned there.  Past its peak
+    the term falls like N^(a-1-2m) |x|^N, and the stop rule compares terms
+    with the partial sum, not with 1, so the length is over-estimated where
+    the sum is large, which only sends long series to the integral sooner.
+    The radius is the float under 0.85 where log-gamma of a overflows
+    (terms that rise beyond the float range).  For m > 4, past the orders
+    at which the rule's P_m is tested, it is infinite.  At tol = 1e-14 the
+    plane's is 48.7, 51.6, 54.4 and 57.1 for m = 1..4, and the ball's at
+    a = 2.5, 5 and 10 is 0.689, 0.623 and 0.531 for m = 1 and 0.822,
+    0.742 and 0.633 for m = 3.
     """
     if m > 4:
         return math.inf
     floor = math.nextafter(0.85, 0.0)
-    n = 150
+    n = 80 if extra and extra[0] * _EPS <= tol else 150
     log_size = math.log(tol) - math.lgamma(n + 1.0) - 2.0 * (
         math.lgamma(m + 1.0) - math.lgamma(m + 1.0 + n))
     if extra:
@@ -219,7 +225,8 @@ def _integral_radius(extra: tuple, m: int, tol: float) -> float:
             log_size -= math.lgamma(extra[0] + n) - math.lgamma(extra[0])
         except OverflowError:
             return floor
-    return max(floor, math.exp(log_size / n))
+    radius = math.exp(log_size / n)
+    return radius if n == 80 else max(floor, radius)
 
 
 def _log1m(x: complex) -> complex:
@@ -304,13 +311,14 @@ def kernel_closed_detail(
     For m >= 1 the record is that of the pFq factor, and ``tol`` must be
     positive and ``max_terms`` >= 1 (ValueError).  The one choice of form:
     where |x| exceeds ``_integral_radius`` (m <= 4, a series predicted to
-    run past 150 terms) the factor is first taken from a tanh-sinh integral
-    of the space's bracket (``_integral.high_part``, with its nodes shifted
-    onto r = |1 - x|/|x| on the ball where a > 2m - 1), whose record holds
-    its node count, 113 where it stops at step 2h or 225, and its error
-    estimate; ``max_terms`` does not bound it.  The count names the level
-    that stood, not the nodes summed, which the rule cuts where a
-    closed-form bound shows them negligible (its estimate holds that bound).
+    run past 80 terms on the ball where a eps <= tol, 150 elsewhere) the
+    factor is first taken from a tanh-sinh integral of the space's bracket
+    (``_integral.high_part``, with its nodes shifted onto r = |1 - x|/|x|
+    on the ball where a > 2m - 1), whose record holds its node count, 113
+    where it stops at step 2h or 225, and its error estimate; ``max_terms``
+    does not bound it.  The count names the level that stood, not the
+    nodes summed, which the rule cuts where a closed-form bound shows them
+    negligible (its estimate holds that bound).
     Where that integral declines, and everywhere else, the record is
     ``eval_pfq``'s.  m = 0 is elementary and evaluated in closed form (see
     ``_kernel_order_zero``), where ``tol`` and ``max_terms`` play no part.

@@ -354,6 +354,23 @@ def test_ball_kernel_near_the_boundary_at_large_a_exits_0(capsys):
     assert abs(got - complex(reference)) <= 1e-13 * abs(complex(reference))
 
 
+def test_mid_disk_ball_kernel_takes_the_integral(capsys):
+    # a = 8, m = 2, |x| = 0.73: the series would sum 125 terms; the 113-node
+    # integral prints 28.215999059363796 + 8.3066483975900827i, and mpmath
+    # 28.215999059363795 + 8.3066483975900822i
+    code, out, err = _run(capsys, ["kernel", "--space", "ball", "--n", "2", "--alpha", "5",
+                                   "--m", "2", "--t", "0.7,0.2"])
+    assert (code, err) == (0, "")
+    row = _csv_rows(out)[0]
+    assert row["terms_used"] == "113"
+    with mp.workdps(30):
+        a, t = mp.mpf(8), mp.mpc(0.7, 0.2)
+        prefactor = mp.gammaprod([a], [6]) / mp.pi**2  # n = 2, R = 1
+        reference = prefactor * (1 + a * t + t**2 / 4 * mp.hyp3f2(1, 1, a, 3, 3, t))
+    got = complex(float(row["re"]), float(row["im"]))
+    assert abs(got - complex(reference)) <= 1e-14 * abs(complex(reference))
+
+
 @pytest.mark.parametrize("argv, flag, least, got", [
     (["verify", "--suite", "norms", "--degree-cap", "-1"], "--degree-cap", 0, -1),
     (["verify", "--suite", "sobolev", "--degree-cap", "-1"], "--degree-cap", 0, -1),

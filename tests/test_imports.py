@@ -21,6 +21,9 @@ LIGHT = ("dataclasses", "inspect", "json")
 STDLIB_COMMANDS = {
     "kernel-ball": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.3,0.1"],
     "kernel-ball-edge": ["kernel", "--space", "ball", "--alpha", "0.5", "--m", "1", "--t", "0.999"],
+    # a 125-term series below |x| = 0.85, which the 113-node integral replaces
+    "kernel-ball-mid": ["kernel", "--space", "ball", "--n", "2", "--alpha", "5", "--m", "2",
+                        "--t", "0.7,0.2"],
     "kernel-fock": ["kernel", "--space", "fock", "--nu", "1", "--m", "2", "--z", "0.5,1j", "--w", "1,0"],
     "kernel-fock-long": ["kernel", "--space", "fock", "--n", "2", "--nu", "1", "--m", "2", "--t", "120"],
     # only the shifted rule resolves this integrand, which turns within r ~ 0.02
@@ -97,7 +100,7 @@ print(json.dumps(report))
 
 def test_ball_integral_loads_late_and_without_rational_arithmetic():
     # the integral module is compiled only by a process that evaluates a long
-    # kernel series, on the ball near |x| = 1 or on the plane at large |x|;
+    # kernel series, on the ball from mid-disk on or on the plane at large |x|;
     # fractions imports decimal, about 4 ms of start-up, so the integral's
     # coefficients are built in integers.  Each command starts without the
     # module, so that each one shows whether it loads it
@@ -115,7 +118,7 @@ for name, argv in {STDLIB_COMMANDS!r}.items():
     report[name] = [code] + [m for m in LATE if m in sys.modules]
 print(json.dumps(report))
 """
-    long = ("kernel-ball-edge", "kernel-fock-long", "kernel-ball-shifted")
+    long = ("kernel-ball-edge", "kernel-ball-mid", "kernel-fock-long", "kernel-ball-shifted")
     assert _run(script) == {
         "import": [],
         **{name: [0, "holospaces._integral"] if name in long else [0] for name in STDLIB_COMMANDS},
